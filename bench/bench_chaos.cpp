@@ -267,7 +267,7 @@ ChaosResult run_storm(const bmp::runtime::ScenarioScript& script,
   result.planner_faults = rt.metrics().counter("fault.planner_faults") +
                           rt.metrics().counter("fault.opens_deferred");
   result.events = rt.metrics().counter("events.total");
-  const bmp::runtime::MetricsSnapshot snap = rt.metrics().snapshot();
+  const bmp::obs::RollupSnapshot snap = rt.metrics().snapshot();
   result.metrics_json = bmp::obs::to_json(snap, /*include_timing=*/false);
   result.prometheus = bmp::obs::to_prometheus(snap);
   return result;

@@ -128,7 +128,7 @@ LoopResult run_loop(const bmp::runtime::ScenarioScript& script, bool adaptive,
     result.first_action = rt.control_log().front().time;
   }
   result.events = rt.metrics().counter("events.total");
-  const bmp::runtime::MetricsSnapshot snap = rt.metrics().snapshot();
+  const bmp::obs::RollupSnapshot snap = rt.metrics().snapshot();
   result.metrics_json = bmp::obs::to_json(snap, /*include_timing=*/false);
   result.prometheus = bmp::obs::to_prometheus(snap);
   return result;

@@ -385,7 +385,7 @@ int main(int argc, char** argv) {
   json.add("ab_off_wall_seconds", ab_off_wall);
 
   // ------------------------------------------------------- global rollup
-  std::cout << "\n" << global.to_text();
+  std::cout << "\n" << global.to_string();
   json.add_string("status", ok ? "ok" : "warn");
   bmp::benchutil::add_profile(json, cli.prof);
   json.add_raw("rollup", bmp::obs::to_json(global));

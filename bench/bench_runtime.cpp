@@ -103,13 +103,13 @@ int main(int argc, char** argv) {
              bmp::util::Table::num(metrics.counter("replans.join"))});
   t.add_row({"renegotiations",
              bmp::util::Table::num(metrics.counter("broker.renegotiated"))});
-  if (const auto* latency = metrics.histogram("timing.event_loop_us")) {
+  if (const auto* latency = metrics.sketch("timing.event_loop_us")) {
     t.add_row({"event latency p50 us",
                bmp::util::Table::num(latency->quantile(0.5), 1)});
     t.add_row({"event latency p99 us",
                bmp::util::Table::num(latency->quantile(0.99), 1)});
   }
-  if (const auto* vlat = metrics.histogram("timing.verify.us")) {
+  if (const auto* vlat = metrics.sketch("timing.verify.us")) {
     t.add_row({"verify p50 us", bmp::util::Table::num(vlat->quantile(0.5), 1)});
   }
   t.add_row({"verify tier-1 sweeps",
@@ -170,11 +170,11 @@ int main(int argc, char** argv) {
     json.add("verify_calls", metrics.counter("verify.calls"));
     json.add("verify_tier_sweep", metrics.counter("verify.tier_sweep"));
     json.add("verify_tier_maxflow", metrics.counter("verify.tier_maxflow"));
-    if (const auto* latency = metrics.histogram("timing.event_loop_us")) {
+    if (const auto* latency = metrics.sketch("timing.event_loop_us")) {
       json.add("event_latency_p50_us", latency->quantile(0.5));
       json.add("event_latency_p99_us", latency->quantile(0.99));
     }
-    if (const auto* vlat = metrics.histogram("timing.verify.us")) {
+    if (const auto* vlat = metrics.sketch("timing.verify.us")) {
       json.add("verify_p50_us", vlat->quantile(0.5));
       json.add("verify_p99_us", vlat->quantile(0.99));
     }

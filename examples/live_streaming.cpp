@@ -20,7 +20,6 @@
 #include "bmp/gen/generator.hpp"
 #include "bmp/net/overlay.hpp"
 #include "bmp/obs/export.hpp"
-#include "bmp/runtime/metrics.hpp"
 #include "bmp/sim/massoulie.hpp"
 #include "bmp/trees/arborescence.hpp"
 #include "bmp/util/table.hpp"
@@ -128,7 +127,7 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   if (!cli.metrics.empty()) {
-    bmp::runtime::MetricsRegistry metrics;
+    bmp::obs::ShardRegistry metrics;
     metrics.set("dataplane.planned_rate", sol.throughput);
     metrics.set("dataplane.achieved_rate", clean.achieved_rate);
     metrics.set("dataplane.achieved_rate_lossy", noisy.achieved_rate);

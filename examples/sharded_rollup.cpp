@@ -33,14 +33,15 @@ struct Series {
 
 Series register_series(bmp::obs::ShardRegistry& reg) {
   Series s;
-  s.delivered = reg.counter("dataplane.delivered");
-  s.retransmits = reg.counter("dataplane.retransmits");
-  s.alive = reg.gauge("population.alive", bmp::obs::GaugeReduction::kSum);
+  s.delivered = reg.counter_handle("dataplane.delivered");
+  s.retransmits = reg.counter_handle("dataplane.retransmits");
+  s.alive =
+      reg.gauge_handle("population.alive", bmp::obs::GaugeReduction::kSum);
   s.worst_ratio =
-      reg.gauge("slo.worst_ratio", bmp::obs::GaugeReduction::kMin);
+      reg.gauge_handle("slo.worst_ratio", bmp::obs::GaugeReduction::kMin);
   s.latency =
-      reg.sketch("dataplane.chunk_latency", bmp::obs::SketchConfig{});
-  s.worst_nodes = reg.topk("hot.node_retransmits", 16);
+      reg.sketch_handle("dataplane.chunk_latency", bmp::obs::SketchConfig{});
+  s.worst_nodes = reg.topk_handle("hot.node_retransmits", 16);
   return s;
 }
 
@@ -147,7 +148,7 @@ int main(int argc, char** argv) {
   if (json) {
     std::cout << bmp::obs::to_json(reference) << "\n";
   } else {
-    std::cout << reference.to_text();
+    std::cout << reference.to_string();
   }
   if (failures != 0) {
     std::cerr << "sharded_rollup: " << failures << " rollup(s) diverged\n";

@@ -36,6 +36,5 @@
 #include "bmp/flow/verify.hpp"
 #include "bmp/runtime/capacity_broker.hpp"
 #include "bmp/runtime/event.hpp"
-#include "bmp/runtime/metrics.hpp"
 #include "bmp/runtime/runtime.hpp"
 #include "bmp/runtime/scenario.hpp"

@@ -23,95 +23,10 @@ std::string sanitize(std::string_view prefix, const std::string& name) {
 }
 
 bool skip(const std::string& name, bool include_timing) {
-  return !include_timing && runtime::MetricsRegistry::is_timing(name);
+  return !include_timing && is_timing(name);
 }
 
 }  // namespace
-
-std::string to_prometheus(const runtime::MetricsSnapshot& snap,
-                          bool include_timing, std::string_view prefix) {
-  std::string out;
-  for (const auto& [name, value] : snap.counters) {
-    if (skip(name, include_timing)) continue;
-    const std::string metric = sanitize(prefix, name) + "_total";
-    out += "# TYPE " + metric + " counter\n";
-    out += metric + " " + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    if (skip(name, include_timing)) continue;
-    const std::string metric = sanitize(prefix, name);
-    out += "# TYPE " + metric + " gauge\n";
-    out += metric + " " + render_double(value) + "\n";
-  }
-  for (const auto& [name, stats] : snap.histograms) {
-    if (skip(name, include_timing)) continue;
-    const std::string metric = sanitize(prefix, name);
-    out += "# TYPE " + metric + " summary\n";
-    out += metric + "{quantile=\"0.5\"} " + render_double(stats.p50) + "\n";
-    out += metric + "{quantile=\"0.9\"} " + render_double(stats.p90) + "\n";
-    out += metric + "{quantile=\"0.99\"} " + render_double(stats.p99) + "\n";
-    out += metric + "_sum " + render_double(stats.sum) + "\n";
-    out += metric + "_count " + std::to_string(stats.count) + "\n";
-    // The same metric additionally as a native Prometheus histogram:
-    // cumulative fixed-bound buckets over ALL observations (the summary's
-    // quantiles cover only the retained window). A distinct `_hist` family
-    // because one metric name cannot carry two TYPEs.
-    if (!stats.buckets.empty()) {
-      const std::string hist = metric + "_hist";
-      out += "# TYPE " + hist + " histogram\n";
-      for (std::size_t i = 0;
-           i < runtime::WindowedHistogram::kBucketBounds.size(); ++i) {
-        out += hist + "_bucket{le=\"" +
-               render_double(runtime::WindowedHistogram::kBucketBounds[i]) +
-               "\"} " + std::to_string(stats.buckets[i]) + "\n";
-      }
-      out += hist + "_bucket{le=\"+Inf\"} " + std::to_string(stats.count) +
-             "\n";
-      out += hist + "_sum " + render_double(stats.sum) + "\n";
-      out += hist + "_count " + std::to_string(stats.count) + "\n";
-    }
-  }
-  return out;
-}
-
-std::string to_json(const runtime::MetricsSnapshot& snap,
-                    bool include_timing) {
-  // Metric names are dot-separated identifiers (no quotes/backslashes to
-  // escape); keys render verbatim.
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    if (skip(name, include_timing)) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + name + "\":" + std::to_string(value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    if (skip(name, include_timing)) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + name + "\":" + render_double(value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, stats] : snap.histograms) {
-    if (skip(name, include_timing)) continue;
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + name + "\":{\"count\":" + std::to_string(stats.count) +
-           ",\"sum\":" + render_double(stats.sum) +
-           ",\"min\":" + render_double(stats.min) +
-           ",\"max\":" + render_double(stats.max) +
-           ",\"mean\":" + render_double(stats.mean) +
-           ",\"p50\":" + render_double(stats.p50) +
-           ",\"p90\":" + render_double(stats.p90) +
-           ",\"p99\":" + render_double(stats.p99) + "}";
-  }
-  out += "}}";
-  return out;
-}
 
 std::string to_prometheus(const RollupSnapshot& snap, bool include_timing,
                           std::string_view prefix) {

@@ -1,11 +1,14 @@
 #include "bmp/obs/rollup.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -21,7 +24,24 @@ std::string render_double(double value) {
   return buf;
 }
 
+bool label_ok(std::string_view text) {
+  if (text.empty()) return false;
+  for (const char c : text) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\' || u < 0x20 || u == 0x7f) return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+void check_label(std::string_view text, const char* what) {
+  if (!label_ok(text)) {
+    throw std::invalid_argument(
+        std::string(what) +
+        ": empty, or contains '\"', '\\' or a control character");
+  }
+}
 
 const char* to_string(GaugeReduction reduction) {
   switch (reduction) {
@@ -33,6 +53,9 @@ const char* to_string(GaugeReduction reduction) {
 }
 
 void RollupSnapshot::merge(const RollupSnapshot& other) {
+  if (other.shards > std::numeric_limits<int>::max() - shards) {
+    throw std::invalid_argument("RollupSnapshot::merge: shard count overflow");
+  }
   shards += other.shards;
   for (const auto& [name, value] : other.counters) {
     counters[name] += value;
@@ -79,62 +102,24 @@ void RollupSnapshot::merge(const RollupSnapshot& other) {
   }
 }
 
-runtime::MetricsSnapshot RollupSnapshot::to_metrics() const {
-  runtime::MetricsSnapshot snap;
-  snap.counters = counters;
-  for (const auto& [name, cell] : gauges) {
-    snap.gauges.emplace(name, cell.value);
-  }
-  for (const auto& [name, sketch] : sketches) {
-    runtime::HistogramStats stats;
-    stats.count = sketch.count();
-    stats.sum = sketch.sum();
-    stats.min = sketch.min();
-    stats.max = sketch.max();
-    stats.mean = sketch.mean();
-    stats.p50 = sketch.quantile(0.50);
-    stats.p90 = sketch.quantile(0.90);
-    stats.p99 = sketch.quantile(0.99);
-    if (stats.count > 0) {
-      // Re-bin onto the registry's fixed export bounds: a bucket counts
-      // toward bound `le` when its representative value is <= le, so the
-      // re-binned cumulative counts inherit the sketch's alpha contract.
-      stats.buckets.reserve(runtime::WindowedHistogram::kBucketBounds.size());
-      std::size_t k = 0;
-      std::uint64_t running = sketch.zero_count();
-      for (const double bound : runtime::WindowedHistogram::kBucketBounds) {
-        const auto& counts = sketch.counts();
-        while (k < counts.size() &&
-               sketch.bucket_value(sketch.bucket_offset() +
-                                   static_cast<std::int32_t>(k)) <= bound) {
-          running += counts[k];
-          ++k;
-        }
-        stats.buckets.push_back(running);
-      }
-    }
-    snap.histograms.emplace(name, stats);
-  }
-  for (const auto& [name, topk] : topks) {
-    for (const TopKEntry& row : topk.top()) {
-      snap.counters.emplace(name + "." + row.key, row.count);
-    }
-  }
-  return snap;
-}
-
-std::string RollupSnapshot::to_text() const {
+std::string RollupSnapshot::to_string(bool include_timing) const {
+  const auto hidden = [&](const std::string& name) {
+    return !include_timing && is_timing(name);
+  };
   std::ostringstream out;
   out.precision(12);
   out << "rollup shards=" << shards << "\n";
   for (const auto& [name, value] : counters) {
+    if (hidden(name)) continue;
     out << "counter " << name << " " << value << "\n";
   }
   for (const auto& [name, cell] : gauges) {
+    if (hidden(name)) continue;
     out << "gauge " << name << " " << cell.value << " ("
-        << to_string(cell.reduction) << ")\n";
+        << obs::to_string(cell.reduction) << ")\n";
   }
   for (const auto& [name, sketch] : sketches) {
+    if (hidden(name)) continue;
     out << "sketch " << name << " count=" << sketch.count()
         << " sum=" << sketch.sum() << " min=" << sketch.min()
         << " max=" << sketch.max() << " p50=" << sketch.quantile(0.50)
@@ -143,6 +128,7 @@ std::string RollupSnapshot::to_text() const {
         << " (alpha=" << sketch.config().alpha << ")\n";
   }
   for (const auto& [name, topk] : topks) {
+    if (hidden(name)) continue;
     out << "topk " << name << " total=" << topk.total_weight() << "\n";
     for (const TopKEntry& row : topk.top()) {
       out << "  " << row.key << " count=" << row.count
@@ -153,9 +139,9 @@ std::string RollupSnapshot::to_text() const {
 }
 
 std::string RollupSnapshot::to_json() const {
-  // Metric / heavy-hitter keys are identifier-ish (dots, digits, ':',
-  // '->'); no quotes or backslashes to escape, so keys render verbatim —
-  // same convention as obs::to_json and lineage dumps.
+  // Series names and heavy-hitter keys passed check_label() on the way
+  // in (no quotes, backslashes or control characters), so they render
+  // verbatim — same convention as obs::to_json and lineage dumps.
   std::string out = "{\"rollup_schema\":1,\"shards\":" +
                     std::to_string(shards) + ",\"counters\":{";
   bool first = true;
@@ -170,7 +156,7 @@ std::string RollupSnapshot::to_json() const {
     if (!first) out += ",";
     first = false;
     out += "\"" + name + "\":{\"red\":\"" +
-           std::string(to_string(cell.reduction)) + "\",\"value\":" +
+           std::string(obs::to_string(cell.reduction)) + "\",\"value\":" +
            render_double(cell.value) + "}";
   }
   out += "},\"sketches\":{";
@@ -229,7 +215,9 @@ namespace {
 
 /// Minimal cursor parser for the fixed-shape JSON to_json() emits (keys
 /// in emission order, strings without escapes) — the same philosophy as
-/// parse_lineage_json: we only ever load our own dumps.
+/// parse_lineage_json: we only ever load our own dumps. Every reader
+/// rejects what to_json() cannot emit (signs on unsigned fields, overflow,
+/// non-finite numbers, labels check_label() refuses).
 struct Cursor {
   const char* p;
   const char* end;
@@ -257,21 +245,24 @@ struct Cursor {
     if (p >= end) return false;
     out.assign(start, p);
     ++p;
-    return true;
+    return label_ok(out);
   }
   bool u64(std::uint64_t& out) {
     ws();
+    if (p >= end || *p < '0' || *p > '9') return false;
     char* next = nullptr;
+    errno = 0;
     out = std::strtoull(p, &next, 10);
-    if (next == p) return false;
+    if (next == p || errno == ERANGE) return false;
     p = next;
     return true;
   }
   bool i64(long long& out) {
     ws();
     char* next = nullptr;
+    errno = 0;
     out = std::strtoll(p, &next, 10);
-    if (next == p) return false;
+    if (next == p || errno == ERANGE) return false;
     p = next;
     return true;
   }
@@ -279,7 +270,7 @@ struct Cursor {
     ws();
     char* next = nullptr;
     out = std::strtod(p, &next);
-    if (next == p) return false;
+    if (next == p || !std::isfinite(out)) return false;
     p = next;
     return true;
   }
@@ -292,14 +283,13 @@ bool parse_gauge_reduction(const std::string& text, GaugeReduction& out) {
   return false;
 }
 
-}  // namespace
-
-bool parse_rollup_json(const std::string& text, RollupSnapshot& out) {
-  out = RollupSnapshot{};
-  Cursor c{text.data(), text.data() + text.size()};
+bool parse_sections(Cursor& c, RollupSnapshot& out) {
   if (!c.lit("{\"rollup_schema\":1,\"shards\":")) return false;
   long long shards = 0;
-  if (!c.i64(shards) || shards < 0) return false;
+  if (!c.i64(shards) || shards < 0 ||
+      shards > std::numeric_limits<int>::max()) {
+    return false;
+  }
   out.shards = static_cast<int>(shards);
   if (!c.lit(",\"counters\":{")) return false;
   while (!c.lit("}")) {
@@ -333,13 +323,12 @@ bool parse_rollup_json(const std::string& text, RollupSnapshot& out) {
     long long offset = 0;
     if (!c.str(name) || !c.lit(":{\"alpha\":") || !c.num(config.alpha) ||
         !c.lit(",\"min_value\":") || !c.num(config.min_value) ||
-        !c.lit(",\"zero\":") || !c.u64(zero) || !c.lit(",\"min\":") ||
-        !c.num(min) || !c.lit(",\"max\":") || !c.num(max) ||
-        !c.lit(",\"offset\":") || !c.i64(offset) ||
+        !config.valid() || !c.lit(",\"zero\":") || !c.u64(zero) ||
+        !c.lit(",\"min\":") || !c.num(min) || !c.lit(",\"max\":") ||
+        !c.num(max) || !c.lit(",\"offset\":") || !c.i64(offset) ||
         !c.lit(",\"counts\":[")) {
       return false;
     }
-    Sketch sketch(config);
     std::vector<std::uint64_t> counts;
     while (!c.lit("]")) {
       if (!counts.empty() && !c.lit(",")) return false;
@@ -348,8 +337,10 @@ bool parse_rollup_json(const std::string& text, RollupSnapshot& out) {
       counts.push_back(count);
     }
     if (!c.lit("}")) return false;
-    sketch.restore(static_cast<std::int32_t>(offset), std::move(counts),
-                   zero, min, max);
+    Sketch sketch(config);
+    if (!sketch.restore(offset, std::move(counts), zero, min, max)) {
+      return false;
+    }
     out.sketches.emplace(std::move(name), std::move(sketch));
   }
   if (!c.lit(",\"topk\":{")) return false;
@@ -372,7 +363,7 @@ bool parse_rollup_json(const std::string& text, RollupSnapshot& out) {
       std::uint64_t count = 0;
       std::uint64_t error = 0;
       if (!c.lit("[") || !c.str(key) || !c.lit(",") || !c.u64(count) ||
-          !c.lit(",") || !c.u64(error) || !c.lit("]")) {
+          !c.lit(",") || !c.u64(error) || !c.lit("]") || error > count) {
         return false;
       }
       topk.restore(key, count, error);
@@ -386,6 +377,26 @@ bool parse_rollup_json(const std::string& text, RollupSnapshot& out) {
   return c.p == c.end;
 }
 
+}  // namespace
+
+bool parse_rollup_json(const std::string& text, RollupSnapshot& out) {
+  out = RollupSnapshot{};
+  Cursor c{text.data(), text.data() + text.size()};
+  if (!parse_sections(c, out)) return false;
+  // Canonical form only: whatever the field readers let through (leading
+  // zeros, non-%.17g doubles, duplicate or unsorted keys, fields that
+  // disagree with each other) fails the byte comparison with the re-dump.
+  const auto is_space = [](char ch) {
+    return ch == ' ' || ch == '\n' || ch == '\t' || ch == '\r';
+  };
+  std::size_t first = 0;
+  std::size_t last = text.size();
+  while (first < last && is_space(text[first])) ++first;
+  while (last > first && is_space(text[last - 1])) --last;
+  return out.to_json().compare(0, std::string::npos, text, first,
+                               last - first) == 0;
+}
+
 RollupSnapshot rollup(const std::vector<RollupSnapshot>& shards) {
   RollupSnapshot global;
   global.shards = 0;
@@ -393,74 +404,169 @@ RollupSnapshot rollup(const std::vector<RollupSnapshot>& shards) {
   return global;
 }
 
-template <typename Handle>
-Handle ShardRegistry::intern(
-    std::string_view name, std::vector<std::string>& names,
-    std::map<std::string, std::size_t, std::less<>>& index) {
-  const auto it = index.find(name);
-  if (it != index.end()) return Handle{it->second};
-  const std::size_t slot = names.size();
-  names.emplace_back(name);
-  index.emplace(std::string(name), slot);
-  return Handle{slot};
-}
+namespace {
 
-ShardRegistry::CounterHandle ShardRegistry::counter(std::string_view name) {
-  const CounterHandle h =
-      intern<CounterHandle>(name, counter_names_, counter_index_);
-  if (h.index == counter_values_.size()) counter_values_.push_back(0);
-  return h;
-}
-
-ShardRegistry::GaugeHandle ShardRegistry::gauge(std::string_view name,
-                                                GaugeReduction reduction) {
-  const GaugeHandle h = intern<GaugeHandle>(name, gauge_names_, gauge_index_);
-  if (h.index == gauge_values_.size()) {
-    gauge_values_.push_back(0.0);
-    gauge_reductions_.push_back(reduction);
-  } else if (gauge_reductions_[h.index] != reduction) {
-    throw std::invalid_argument("ShardRegistry::gauge: '" +
-                                std::string(name) + "' reduction mismatch");
+/// Stores `value` at `slot`: a fresh slot extends the array by one, a
+/// reused (erased) slot is overwritten.
+template <typename T>
+void put(std::vector<T>& cells, std::size_t slot, T value) {
+  if (slot == cells.size()) {
+    cells.push_back(std::move(value));
+  } else {
+    cells[slot] = std::move(value);
   }
-  return h;
 }
 
-ShardRegistry::SketchHandle ShardRegistry::sketch(std::string_view name,
-                                                  SketchConfig config) {
-  const SketchHandle h =
-      intern<SketchHandle>(name, sketch_names_, sketch_index_);
-  if (h.index == sketch_values_.size()) {
-    sketch_values_.emplace_back(config);
-  } else if (sketch_values_[h.index].config().alpha != config.alpha ||
-             sketch_values_[h.index].config().min_value !=
-                 config.min_value) {
-    throw std::invalid_argument("ShardRegistry::sketch: '" +
-                                std::string(name) + "' config mismatch");
+}  // namespace
+
+std::size_t ShardRegistry::claim(std::string_view name, Names& names) {
+  check_label(name, "ShardRegistry: series name");
+  std::size_t slot = names.names.size();
+  if (names.free.empty()) {
+    names.names.emplace_back(name);
+  } else {
+    slot = names.free.back();
+    names.free.pop_back();
+    names.names[slot] = std::string(name);
   }
-  return h;
+  names.index.emplace(std::string(name), slot);
+  return slot;
 }
 
-ShardRegistry::TopKHandle ShardRegistry::topk(std::string_view name,
-                                              std::size_t capacity) {
-  const TopKHandle h = intern<TopKHandle>(name, topk_names_, topk_index_);
-  if (h.index == topk_values_.size()) {
-    topk_values_.emplace_back(capacity);
-  } else if (topk_values_[h.index].capacity() != capacity) {
-    throw std::invalid_argument("ShardRegistry::topk: '" +
-                                std::string(name) + "' capacity mismatch");
+const std::size_t* ShardRegistry::find(std::string_view name,
+                                       const Names& names) {
+  const auto it = names.index.find(name);
+  return it == names.index.end() ? nullptr : &it->second;
+}
+
+ShardRegistry::CounterHandle ShardRegistry::counter_handle(
+    std::string_view name) {
+  if (const std::size_t* slot = find(name, counters_)) return {*slot};
+  const std::size_t slot = claim(name, counters_);
+  put<std::uint64_t>(counter_values_, slot, 0);
+  return {slot};
+}
+
+ShardRegistry::GaugeHandle ShardRegistry::gauge_handle(
+    std::string_view name, GaugeReduction reduction) {
+  if (const std::size_t* slot = find(name, gauges_)) {
+    if (gauge_reductions_[*slot] != reduction) {
+      throw std::invalid_argument("ShardRegistry::gauge_handle: '" +
+                                  std::string(name) + "' reduction mismatch");
+    }
+    return {*slot};
   }
-  return h;
+  const std::size_t slot = claim(name, gauges_);
+  put(gauge_values_, slot, 0.0);
+  put(gauge_reductions_, slot, reduction);
+  return {slot};
+}
+
+ShardRegistry::SketchHandle ShardRegistry::sketch_handle(
+    std::string_view name, SketchConfig config) {
+  if (const std::size_t* slot = find(name, sketches_)) {
+    const SketchConfig& have = sketch_values_[*slot].config();
+    if (have.alpha != config.alpha || have.min_value != config.min_value) {
+      throw std::invalid_argument("ShardRegistry::sketch_handle: '" +
+                                  std::string(name) + "' config mismatch");
+    }
+    return {*slot};
+  }
+  Sketch fresh(config);  // validates the config before the name is claimed
+  const std::size_t slot = claim(name, sketches_);
+  put(sketch_values_, slot, std::move(fresh));
+  return {slot};
+}
+
+ShardRegistry::TopKHandle ShardRegistry::topk_handle(std::string_view name,
+                                                     std::size_t capacity) {
+  if (const std::size_t* slot = find(name, topks_)) {
+    if (topk_values_[*slot].capacity() != capacity) {
+      throw std::invalid_argument("ShardRegistry::topk_handle: '" +
+                                  std::string(name) + "' capacity mismatch");
+    }
+    return {*slot};
+  }
+  TopK fresh(capacity);
+  const std::size_t slot = claim(name, topks_);
+  put(topk_values_, slot, std::move(fresh));
+  return {slot};
+}
+
+void ShardRegistry::offer(TopKHandle h, std::string_view key,
+                          std::uint64_t weight) {
+  check_label(key, "ShardRegistry::offer: top-K key");
+  topk_values_[h.index].offer(key, weight);
+}
+
+void ShardRegistry::inc(std::string_view name, std::uint64_t delta) {
+  inc(counter_handle(name), delta);
+}
+
+void ShardRegistry::set_counter(std::string_view name, std::uint64_t value) {
+  set_counter(counter_handle(name), value);
+}
+
+void ShardRegistry::set(std::string_view name, double value) {
+  // Look up first: an existing gauge keeps whatever reduction it was
+  // registered with.
+  const std::size_t* slot = find(name, gauges_);
+  set(slot != nullptr ? GaugeHandle{*slot} : gauge_handle(name), value);
+}
+
+void ShardRegistry::observe(std::string_view name, double value) {
+  const std::size_t* slot = find(name, sketches_);
+  observe(slot != nullptr ? SketchHandle{*slot} : sketch_handle(name), value);
+}
+
+std::optional<std::size_t> ShardRegistry::release(std::string_view name,
+                                                  Names& names) {
+  const auto it = names.index.find(name);
+  if (it == names.index.end()) return std::nullopt;
+  const std::size_t slot = it->second;
+  names.index.erase(it);
+  names.names[slot] = std::string();
+  names.free.push_back(slot);
+  return slot;
+}
+
+void ShardRegistry::erase(std::string_view name) {
+  // Reset the freed cells too, releasing sketch / top-K storage.
+  if (const auto slot = release(name, counters_)) counter_values_[*slot] = 0;
+  if (const auto slot = release(name, gauges_)) gauge_values_[*slot] = 0.0;
+  if (const auto slot = release(name, sketches_)) {
+    sketch_values_[*slot] = Sketch(sketch_values_[*slot].config());
+  }
+  if (const auto slot = release(name, topks_)) {
+    topk_values_[*slot] = TopK(topk_values_[*slot].capacity());
+  }
+}
+
+std::uint64_t ShardRegistry::counter(std::string_view name) const {
+  const std::size_t* slot = find(name, counters_);
+  return slot == nullptr ? 0 : counter_values_[*slot];
+}
+
+double ShardRegistry::gauge(std::string_view name) const {
+  const std::size_t* slot = find(name, gauges_);
+  return slot == nullptr ? 0.0 : gauge_values_[*slot];
+}
+
+const Sketch* ShardRegistry::sketch(std::string_view name) const {
+  const std::size_t* slot = find(name, sketches_);
+  return slot == nullptr ? nullptr : &sketch_values_[*slot];
 }
 
 std::size_t ShardRegistry::memory_bytes() const {
   std::size_t bytes = 0;
-  const auto names_bytes = [](const std::vector<std::string>& names) {
-    std::size_t total = names.capacity() * sizeof(std::string);
-    for (const std::string& name : names) total += name.capacity();
+  const auto names_bytes = [](const Names& names) {
+    std::size_t total = names.names.capacity() * sizeof(std::string) +
+                        names.free.capacity() * sizeof(std::size_t);
+    for (const std::string& name : names.names) total += name.capacity();
     return total;
   };
-  bytes += names_bytes(counter_names_) + names_bytes(gauge_names_) +
-           names_bytes(sketch_names_) + names_bytes(topk_names_);
+  bytes += names_bytes(counters_) + names_bytes(gauges_) +
+           names_bytes(sketches_) + names_bytes(topks_);
   bytes += counter_values_.capacity() * sizeof(std::uint64_t);
   bytes += gauge_values_.capacity() * sizeof(double);
   bytes += gauge_reductions_.capacity() * sizeof(GaugeReduction);
@@ -482,19 +588,24 @@ std::size_t ShardRegistry::memory_bytes() const {
 RollupSnapshot ShardRegistry::snapshot() const {
   RollupSnapshot snap;
   snap.shards = 1;
-  for (std::size_t k = 0; k < counter_names_.size(); ++k) {
-    snap.counters.emplace(counter_names_[k], counter_values_[k]);
+  // Erased slots carry an empty name and are skipped.
+  for (std::size_t k = 0; k < counters_.names.size(); ++k) {
+    if (counters_.names[k].empty()) continue;
+    snap.counters.emplace(counters_.names[k], counter_values_[k]);
   }
-  for (std::size_t k = 0; k < gauge_names_.size(); ++k) {
+  for (std::size_t k = 0; k < gauges_.names.size(); ++k) {
+    if (gauges_.names[k].empty()) continue;
     snap.gauges.emplace(
-        gauge_names_[k],
+        gauges_.names[k],
         RollupSnapshot::GaugeCell{gauge_values_[k], gauge_reductions_[k]});
   }
-  for (std::size_t k = 0; k < sketch_names_.size(); ++k) {
-    snap.sketches.emplace(sketch_names_[k], sketch_values_[k]);
+  for (std::size_t k = 0; k < sketches_.names.size(); ++k) {
+    if (sketches_.names[k].empty()) continue;
+    snap.sketches.emplace(sketches_.names[k], sketch_values_[k]);
   }
-  for (std::size_t k = 0; k < topk_names_.size(); ++k) {
-    snap.topks.emplace(topk_names_[k], topk_values_[k]);
+  for (std::size_t k = 0; k < topks_.names.size(); ++k) {
+    if (topks_.names[k].empty()) continue;
+    snap.topks.emplace(topks_.names[k], topk_values_[k]);
   }
   return snap;
 }

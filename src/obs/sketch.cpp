@@ -2,29 +2,53 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace bmp::obs {
+
+namespace {
+
+/// ceil(log_gamma(value)) as a double, before any integer cast: bucket i
+/// covers (gamma^(i-1), gamma^i]. The tiny relative nudge keeps exact
+/// powers of gamma in their own bucket despite log() rounding (determinism
+/// across libm is not assumed — only determinism across runs of the same
+/// binary, like the rest of the codebase).
+double raw_index(double value, double inv_log_gamma) {
+  return std::ceil(std::log(value) * inv_log_gamma - 1e-11);
+}
+
+double inverse_log_gamma(double alpha) {
+  return 1.0 / std::log((1.0 + alpha) / (1.0 - alpha));
+}
+
+}  // namespace
+
+bool SketchConfig::valid() const {
+  if (!(alpha > 0.0 && alpha < 1.0)) return false;
+  if (!(min_value > 0.0 && std::isfinite(min_value))) return false;
+  const double inv = inverse_log_gamma(alpha);
+  if (!std::isfinite(inv)) return false;  // gamma rounded to 1
+  const double lo = raw_index(min_value, inv);
+  const double hi = raw_index(std::numeric_limits<double>::max(), inv);
+  // Every bucket index also fits an int32 with room to add offsets.
+  return hi - lo <= Sketch::kMaxBuckets && lo > -1e9 && hi < 1e9;
+}
 
 Sketch::Sketch(SketchConfig config) : config_(config) {
   if (!(config_.alpha > 0.0 && config_.alpha < 1.0)) {
     throw std::invalid_argument("Sketch: alpha must be in (0, 1)");
   }
-  if (!(config_.min_value > 0.0)) {
-    throw std::invalid_argument("Sketch: min_value must be > 0");
+  if (!config_.valid()) {
+    throw std::invalid_argument(
+        "Sketch: min_value must be > 0 and span <= kMaxBuckets buckets");
   }
   gamma_ = (1.0 + config_.alpha) / (1.0 - config_.alpha);
-  inv_log_gamma_ = 1.0 / std::log(gamma_);
+  inv_log_gamma_ = inverse_log_gamma(config_.alpha);
 }
 
 std::int32_t Sketch::index_of(double value) const {
-  // Bucket i covers (gamma^(i-1), gamma^i]; ceil(log_gamma(v)) finds it.
-  // The tiny relative nudge keeps exact powers of gamma in their own
-  // bucket despite log() rounding (determinism across libm is not assumed
-  // — only determinism across runs of the same binary, like the rest of
-  // the codebase).
-  return static_cast<std::int32_t>(
-      std::ceil(std::log(value) * inv_log_gamma_ - 1e-11));
+  return static_cast<std::int32_t>(raw_index(value, inv_log_gamma_));
 }
 
 void Sketch::record(double value) { record(value, 1); }
@@ -137,31 +161,51 @@ double Sketch::quantile(double q) const {
   }
   const std::uint64_t n = count();
   if (n == 0) return 0.0;
-  // Nearest-rank, matching WindowedHistogram: smallest value whose
-  // cumulative fraction >= q.
+  // Nearest-rank: smallest value whose cumulative fraction >= q.
   std::uint64_t rank = static_cast<std::uint64_t>(
       std::ceil(q * static_cast<double>(n)));
   if (rank == 0) rank = 1;
-  if (rank <= zero_count_) return 0.0;
+  if (rank <= zero_count_) return std::clamp(0.0, min_, max_);
   std::uint64_t running = zero_count_;
   for (std::size_t k = 0; k < counts_.size(); ++k) {
     running += counts_[k];
     if (running >= rank) {
-      return bucket_value(offset_ + static_cast<std::int32_t>(k));
+      return std::clamp(bucket_value(offset_ + static_cast<std::int32_t>(k)),
+                        min_, max_);
     }
   }
   return max();  // unreachable when counters are consistent
 }
 
-void Sketch::restore(std::int32_t offset, std::vector<std::uint64_t> counts,
+bool Sketch::restore(std::int64_t offset, std::vector<std::uint64_t> counts,
                      std::uint64_t zero_count, double min, double max) {
-  offset_ = offset;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t total = 0;
+  for (const std::uint64_t count : counts) {
+    if (count > kMax - total) return false;
+    total += count;
+  }
+  if (zero_count > kMax - total) return false;
+  if (!counts.empty()) {
+    const double first = static_cast<double>(offset);
+    const double last = first + static_cast<double>(counts.size() - 1);
+    if (first < raw_index(config_.min_value, inv_log_gamma_) ||
+        last > raw_index(std::numeric_limits<double>::max(),
+                         inv_log_gamma_)) {
+      return false;
+    }
+  }
+  if (!(std::isfinite(min) && std::isfinite(max) && min >= 0.0 &&
+        min <= max)) {
+    return false;
+  }
+  offset_ = static_cast<std::int32_t>(offset);
   counts_ = std::move(counts);
   zero_count_ = zero_count;
-  bucket_total_ = 0;
-  for (const std::uint64_t count : counts_) bucket_total_ += count;
+  bucket_total_ = total;
   min_ = min;
   max_ = max;
+  return true;
 }
 
 void Sketch::clear() {

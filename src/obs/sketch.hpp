@@ -5,15 +5,13 @@
 // boundaries gamma^i where gamma = (1 + alpha) / (1 - alpha), so any
 // quantile read back from the sketch is within a *relative* error of
 // alpha of the true order statistic (contract spelled out on quantile()).
-// Unlike runtime::WindowedHistogram — which keeps a 1024-sample ring per
-// series and sorts it on every export — a sketch stores only bucket
-// counters: O(log_gamma(max/min)) integers per series regardless of how
-// many observations flowed through it, recording is O(1) (amortized), and
-// two sketches merge *losslessly* by adding bucket counts. Integer bucket
-// addition is commutative and associative, so a fleet of per-shard
-// sketches rolls up to a byte-identical global sketch no matter the merge
-// order or grouping — the property the sharded-runtime rollup
-// (obs/rollup.hpp) is built on.
+// A sketch stores only bucket counters — O(log_gamma(max/min)) integers
+// per series regardless of how many observations flowed through it —
+// recording is O(1) (amortized), and two sketches merge *losslessly* by
+// adding bucket counts. Integer bucket addition is commutative and
+// associative, so a fleet of per-shard sketches rolls up to a
+// byte-identical global sketch no matter the merge order or grouping —
+// the property the sharded-runtime rollup (obs/rollup.hpp) is built on.
 //
 // `TopK` is the companion heavy-hitter tracker (space-saving algorithm):
 // bounded-memory "worst offenders" (nodes by retransmits, edges by
@@ -25,7 +23,7 @@
 // merged top table is also independent of shard merge order.
 //
 // Everything here is single-threaded by design (one instance per shard /
-// event loop), mirroring runtime::MetricsRegistry.
+// event loop), like the obs::ShardRegistry that holds them.
 #pragma once
 
 #include <cstdint>
@@ -44,11 +42,21 @@ struct SketchConfig {
   /// Values in [0, min_value) collapse into the zero bucket (reported as
   /// 0.0). Keeps the bucket range finite for denormal-ish inputs.
   double min_value = 1e-9;
+
+  /// alpha in (0, 1), min_value positive and finite, and the bucket range
+  /// from min_value to DBL_MAX no wider than Sketch::kMaxBuckets — so any
+  /// two sketches of one config merge in bounded memory.
+  [[nodiscard]] bool valid() const;
 };
 
 /// Log-bucket histogram sketch with exact, order-independent merge.
 class Sketch {
  public:
+  /// Widest bucket index range a valid config may span (alpha = 0.01
+  /// spans ~36k, alpha = 1e-4 ~3.6M).
+  static constexpr double kMaxBuckets = 1 << 22;
+
+  /// Throws std::invalid_argument unless config.valid().
   explicit Sketch(SketchConfig config = {});
 
   /// O(1) amortized. Throws on negative or non-finite values (telemetry
@@ -81,7 +89,10 @@ class Sketch {
   /// Relative-error contract: for q in [0, 1], returns a value v with
   ///   |v - x_q| <= alpha * x_q
   /// where x_q is the nearest-rank q-quantile of everything recorded
-  /// (values under min_value read back as 0.0). Returns 0.0 when empty.
+  /// (values under min_value read back as 0.0). The bucket representative
+  /// is clamped to [min(), max()] — x_q lies in that range, so the clamp
+  /// never adds error, and min <= p50 <= p90 <= p99 <= max always holds.
+  /// Returns 0.0 when empty.
   [[nodiscard]] double quantile(double q) const;
 
   [[nodiscard]] const SketchConfig& config() const { return config_; }
@@ -104,9 +115,13 @@ class Sketch {
 
   /// Deserialization hook (parse_rollup_json): installs a dumped bucket
   /// store verbatim — exact by construction, so a dump -> load -> dump
-  /// cycle is byte-identical.
-  void restore(std::int32_t offset, std::vector<std::uint64_t> counts,
-               std::uint64_t zero_count, double min, double max);
+  /// cycle is byte-identical. Returns false (sketch unchanged) when the
+  /// dump cannot come from this config: bucket indices outside the range
+  /// [min_value, DBL_MAX] maps to, a count total that overflows, or min /
+  /// max negative, non-finite or out of order.
+  [[nodiscard]] bool restore(std::int64_t offset,
+                             std::vector<std::uint64_t> counts,
+                             std::uint64_t zero_count, double min, double max);
 
  private:
   [[nodiscard]] std::int32_t index_of(double value) const;

@@ -1,6 +1,9 @@
 #include "bmp/obs/slo.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 #include "bmp/obs/flight_recorder.hpp"
 
@@ -33,13 +36,35 @@ const char* SloSample::worst_sli() const {
 }
 
 SloMonitor::SloMonitor(int channel, SloConfig config, FlightRecorder* recorder)
-    : channel_(channel),
-      config_(config),
-      recorder_(recorder),
-      latencies_(config.latency_window) {}
+    : channel_(channel), config_(config), recorder_(recorder) {
+  if (config_.latency_window == 0) {
+    throw std::invalid_argument("SloMonitor: latency_window must be > 0");
+  }
+  latencies_.reserve(config_.latency_window);
+}
 
 void SloMonitor::observe_latency(double latency) {
-  latencies_.observe(latency);
+  if (!std::isfinite(latency)) {
+    throw std::invalid_argument("SloMonitor: non-finite latency");
+  }
+  if (latencies_.size() < config_.latency_window) {
+    latencies_.push_back(latency);
+  } else {
+    latencies_[next_latency_] = latency;
+  }
+  next_latency_ = (next_latency_ + 1) % config_.latency_window;
+}
+
+double SloMonitor::latency_p99() const {
+  if (latencies_.empty()) return 0.0;
+  // Nearest-rank: the smallest value with cumulative fraction >= 0.99.
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(0.99 * static_cast<double>(latencies_.size())));
+  std::vector<double> window(latencies_);
+  const auto nth = window.begin() + static_cast<std::ptrdiff_t>(
+                                        rank == 0 ? 0 : rank - 1);
+  std::nth_element(window.begin(), nth, window.end());
+  return *nth;
 }
 
 void SloMonitor::on_directive(double time) {
@@ -60,8 +85,7 @@ SloState SloMonitor::evaluate(double time, double sustained_worst) {
   SloSample sample;
   sample.time = time;
   sample.sustained_worst = sustained_worst;
-  sample.latency_p99 =
-      latencies_.count() == 0 ? 0.0 : latencies_.quantile(0.99);
+  sample.latency_p99 = latency_p99();
   sample.violating_sustained = sustained_worst < config_.target_sustained;
   sample.violating_latency = sample.latency_p99 > config_.target_latency_p99;
   if (directive_time_ >= 0.0) {

@@ -27,8 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "bmp/runtime/metrics.hpp"
-
 namespace bmp::obs {
 
 class FlightRecorder;
@@ -79,11 +77,16 @@ struct SloAlert {
 
 class SloMonitor {
  public:
+  /// Throws std::invalid_argument when config.latency_window is 0.
   SloMonitor(int channel, SloConfig config = {},
              FlightRecorder* recorder = nullptr);
 
   /// Feed one delivered chunk's latency (arrival - emission, seconds).
+  /// Throws std::invalid_argument on a non-finite value.
   void observe_latency(double latency);
+  /// The latency SLI: nearest-rank p99 over the last
+  /// config.latency_window observed latencies (0.0 before any).
+  [[nodiscard]] double latency_p99() const;
   /// Arms the time-to-recover SLI; called when a directive is applied.
   /// Re-arming while already armed keeps the earlier deadline.
   void on_directive(double time);
@@ -114,7 +117,11 @@ class SloMonitor {
   SloConfig config_;
   FlightRecorder* recorder_;
   SloState state_ = SloState::kOk;
-  runtime::WindowedHistogram latencies_;
+  /// Ring of the most recent latency_window latencies (exact, unlike the
+  /// registry's sketches: the SLI is a sliding window, not a lifetime
+  /// distribution).
+  std::vector<double> latencies_;
+  std::size_t next_latency_ = 0;
   std::deque<bool> short_window_;
   std::deque<bool> long_window_;
   double directive_time_ = -1.0;  ///< < 0: no open recovery deadline

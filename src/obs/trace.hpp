@@ -5,7 +5,7 @@
 // host load or planner thread count. Wall-clock durations can be opted in
 // (`TraceConfig::wall_durations`) for profiling; they ride along as an
 // `wall_us` arg and deliberately break byte-identity, mirroring the
-// `timing.*` convention in MetricsRegistry.
+// `timing.*` convention in obs::ShardRegistry.
 //
 // The sink is thread-safe (the planner pool may race with the event loop),
 // but determinism is an append-order contract owned by the call sites: the

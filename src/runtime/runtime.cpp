@@ -65,7 +65,9 @@ Runtime::Runtime(RuntimeConfig config, double source_bandwidth,
     : config_(config),
       planner_(with_obs(config.planner, config.trace, config.profiler,
                         &planner_outage_)),
-      broker_(config.broker_headroom) {
+      broker_(config.broker_headroom),
+      metrics_(config.telemetry != nullptr ? *config.telemetry
+                                           : own_metrics_) {
   outage_ = planner_.config().outage;
   // One timing switch for the whole loop: a runtime that opts out of
   // timing.* metrics must not pay the per-verify clock reads inside its
@@ -111,32 +113,67 @@ Runtime::Runtime(RuntimeConfig config, double source_bandwidth,
     nodes_.push_back(node);
   }
   alive_peers_ = static_cast<int>(initial_peers.size());
-  // These two gauges exist from construction, so their handles can be
-  // interned eagerly; everything else in hot_ resolves lazily on first
-  // use to keep snapshot contents identical to create-on-first-touch.
-  hot_.population_alive = metrics_.gauge_handle("population.alive");
-  hot_.channels_open = metrics_.gauge_handle("channels.open");
-  *hot_.population_alive = static_cast<double>(alive_peers_);
-  *hot_.channels_open = 0.0;
+  if (!config_.telemetry_node_prefix.empty()) {
+    obs::check_label(config_.telemetry_node_prefix,
+                     "Runtime: telemetry_node_prefix");
+  }
+  register_series();
+}
+
+void Runtime::register_series() {
+  // A subsystem's fixed-name series exist, at zero, from construction: a
+  // shard's series set then depends on its configuration alone, not on
+  // which outcomes its workload happened to trip, and scrapers see zeros
+  // instead of gaps. (Per-channel and per-event-type series still appear
+  // with their channel / first event.) The integer-valued population
+  // gauges sum across shards; every other gauge keeps the default max
+  // reduction — a non-integral sum, e.g. broker.allocated, would make the
+  // rollup bytes depend on the merge tree's shape.
+  obs::ShardRegistry& m = metrics_;
+  hot_.events_total = m.counter_handle("events.total");
+  hot_.broker_admitted = m.counter_handle("broker.admitted");
+  hot_.broker_rejected = m.counter_handle("broker.rejected");
+  hot_.broker_released = m.counter_handle("broker.released");
+  hot_.broker_allocated = m.gauge_handle("broker.allocated");
+  hot_.channels_open =
+      m.gauge_handle("channels.open", obs::GaugeReduction::kSum);
+  hot_.population_alive =
+      m.gauge_handle("population.alive", obs::GaugeReduction::kSum);
+  m.set(hot_.population_alive, static_cast<double>(alive_peers_));
+  if (config_.collect_timing) {
+    hot_.timing_event_loop = m.sketch_handle("timing.event_loop_us");
+  }
+  if (config_.dataplane.execute) {
+    hot_.dp_delivered = m.counter_handle("dataplane.delivered");
+    hot_.dp_losses = m.counter_handle("dataplane.losses");
+    hot_.dp_retransmits = m.counter_handle("dataplane.retransmits");
+    hot_.dp_hol_stalls = m.counter_handle("dataplane.hol_stalls");
+    hot_.dp_duplicates = m.counter_handle("dataplane.duplicates");
+    hot_.dp_chunk_latency = m.sketch_handle("dataplane.chunk_latency");
+    m.counter_handle("dataplane.streams_finalized");
+    m.counter_handle("dataplane.rate_audit_failures");
+    m.sketch_handle("dataplane.sustained_ratio");
+    m.sketch_handle("dataplane.achieved_rate");
+  }
+  if (config_.control.enabled) {
+    hot_.control_samples = m.counter_handle("control.samples");
+    for (const char* name :
+         {"control.demotions", "control.restores", "control.reroutes",
+          "control.repairs", "control.replans"}) {
+      m.counter_handle(name);
+    }
+    m.sketch_handle("control.drift");
+    m.sketch_handle("control.recovered_ratio");
+  }
+  if (config_.control.enabled && config_.control.slo_enabled) {
+    m.sketch_handle("slo.sustained_worst");
+  }
   if (config_.telemetry != nullptr) {
-    // Scale-facing series, registered once; recording is an array index.
-    obs::ShardRegistry& shard = *config_.telemetry;
-    tel_.delivered = shard.counter("dataplane.delivered");
-    tel_.losses = shard.counter("dataplane.losses");
-    tel_.retransmits = shard.counter("dataplane.retransmits");
-    tel_.hol_stalls = shard.counter("dataplane.hol_stalls");
-    tel_.duplicates = shard.counter("dataplane.duplicates");
-    tel_.events = shard.counter("events.total");
-    tel_.alive = shard.gauge("population.alive", obs::GaugeReduction::kSum);
-    tel_.latency = shard.sketch("dataplane.chunk_latency");
-    tel_.sustained = shard.sketch("dataplane.sustained_ratio");
-    tel_.slo_worst = shard.sketch("slo.sustained_worst");
-    tel_.recovered = shard.sketch("control.recovered_ratio");
-    tel_.node_retransmits = shard.topk("hot.node_retransmits");
-    tel_.node_stalls = shard.topk("hot.node_stalls");
-    tel_.edge_retransmits = shard.topk("hot.edge_retransmits");
-    tel_.node_demotions = shard.topk("hot.node_demotion_weight");
-    shard.set(tel_.alive, static_cast<double>(alive_peers_));
+    // Bounded heavy-hitter tables instead of per-node series.
+    hot_.node_retransmits = m.topk_handle("hot.node_retransmits");
+    hot_.node_stalls = m.topk_handle("hot.node_stalls");
+    hot_.edge_retransmits = m.topk_handle("hot.edge_retransmits");
+    hot_.node_demotions = m.topk_handle("hot.node_demotion_weight");
   }
 }
 
@@ -215,42 +252,27 @@ void Runtime::step(const Event& event) {
     case EventType::kDegrade: on_degrade(event); break;
     case EventType::kFault: on_fault(event); break;
   }
-  // Interned hot-path counters: the names resolve to storage cells once
-  // (on first use, preserving create-on-first-touch snapshot contents) and
-  // every later event is a pointer bump, not a map walk.
-  if (hot_.events_total == nullptr) {
-    hot_.events_total = metrics_.counter_handle("events.total");
-  }
-  ++*hot_.events_total;
-  std::uint64_t*& by_type =
-      hot_.events_by_type[static_cast<std::size_t>(event.type)];
-  if (by_type == nullptr) {
+  // Interned hot-path counters: every event is an array index, not a map
+  // walk.
+  metrics_.inc(hot_.events_total);
+  auto& by_type = hot_.events_by_type[static_cast<std::size_t>(event.type)];
+  if (!by_type) {
     by_type = metrics_.counter_handle(std::string("events.") +
                                       to_string(event.type));
   }
-  ++*by_type;
-  if (config_.telemetry != nullptr) config_.telemetry->inc(tel_.events);
+  metrics_.inc(*by_type);
   if (config_.profiler != nullptr) {
     config_.profiler->enter("runtime/step");
     config_.profiler->count("runtime/step", to_string(event.type));
   }
   // The broker is the single source of truth for admission accounting;
   // mirror its totals instead of double-counting at every call site.
-  if (hot_.broker_admitted == nullptr) {
-    hot_.broker_admitted = metrics_.counter_handle("broker.admitted");
-    hot_.broker_rejected = metrics_.counter_handle("broker.rejected");
-    hot_.broker_released = metrics_.counter_handle("broker.released");
-    hot_.broker_allocated = metrics_.gauge_handle("broker.allocated");
-  }
-  *hot_.broker_admitted = broker_.admissions();
-  *hot_.broker_rejected = broker_.rejections();
-  *hot_.broker_released = broker_.releases();
-  *hot_.broker_allocated = broker_.allocated();
-  *hot_.channels_open = static_cast<double>(channels_.size());
-  *hot_.population_alive = static_cast<double>(alive_peers_);
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->set(tel_.alive, static_cast<double>(alive_peers_));
-  }
+  metrics_.set_counter(hot_.broker_admitted, broker_.admissions());
+  metrics_.set_counter(hot_.broker_rejected, broker_.rejections());
+  metrics_.set_counter(hot_.broker_released, broker_.releases());
+  metrics_.set(hot_.broker_allocated, broker_.allocated());
+  metrics_.set(hot_.channels_open, static_cast<double>(channels_.size()));
+  metrics_.set(hot_.population_alive, static_cast<double>(alive_peers_));
   if (config_.dataplane.execute) {
     for (auto& [id, channel] : channels_) {
       export_dataplane_metrics(id, channel);
@@ -260,11 +282,7 @@ void Runtime::step(const Event& event) {
     const double us = std::chrono::duration<double, std::micro>(
                           std::chrono::steady_clock::now() - start)
                           .count();
-    if (hot_.timing_event_loop == nullptr) {
-      hot_.timing_event_loop =
-          metrics_.histogram_handle("timing.event_loop_us");
-    }
-    hot_.timing_event_loop->observe(us);
+    metrics_.observe(hot_.timing_event_loop, us);
     if (config_.profiler != nullptr && config_.profiler->wall_time()) {
       config_.profiler->add_wall("runtime/step", us);
     }
@@ -930,7 +948,7 @@ void Runtime::on_fault(const Event& event) {
       }
     }
   }
-  metrics_.set("population.alive", static_cast<double>(alive_peers_));
+  metrics_.set(hot_.population_alive, static_cast<double>(alive_peers_));
 }
 
 void Runtime::retry_pending_opens(double t, bool force) {
@@ -1046,10 +1064,7 @@ void Runtime::control_tick(double t) {
     const dataplane::Execution& exec = *channel.execution;
     const engine::Session& session = *channel.session;
     const double chunk = config_.dataplane.execution.chunk_size;
-    if (hot_.control_samples == nullptr) {
-      hot_.control_samples = metrics_.counter_handle("control.samples");
-    }
-    ++*hot_.control_samples;
+    metrics_.inc(hot_.control_samples);
     if (config_.telemetry != nullptr) feed_edge_telemetry(channel, exec);
 
     control::TickInputs inputs;
@@ -1203,15 +1218,7 @@ void Runtime::control_tick(double t) {
       // per-event drain in export_dataplane_metrics — identical observation
       // sequence, just not deferred to the next event).
       for (const double latency : channel.execution->drain_latencies()) {
-        if (hot_.dp_chunk_latency == nullptr) {
-          hot_.dp_chunk_latency =
-              metrics_.histogram_handle("dataplane.chunk_latency");
-        }
-        hot_.dp_chunk_latency->observe(latency);
-        if (config_.telemetry != nullptr) {
-          config_.telemetry->observe(tel_.latency, latency);
-        }
-        channel.slo->observe_latency(latency);
+        observe_chunk_latency(channel, latency);
       }
       // Windowed sustained SLI: the worst judgeable node's delivered delta
       // against the emission promise over the last slo_sustained_window
@@ -1261,9 +1268,6 @@ void Runtime::control_tick(double t) {
       metrics_.observe("slo.sustained_worst", worst);
       metrics_.inc("slo.pages", channel.slo->pages() - pages_before);
       metrics_.inc("slo.warns", channel.slo->warns() - warns_before);
-      if (config_.telemetry != nullptr) {
-        config_.telemetry->observe(tel_.slo_worst, worst);
-      }
     }
   }
   if (!crash_candidates.empty()) detect_crashes(crash_candidates, t);
@@ -1301,7 +1305,7 @@ void Runtime::detect_crashes(const std::set<int>& candidates, double t) {
   // crashed peer's grants reclaim everywhere in the same boundary instead
   // of each channel's controller re-detecting on its own schedule.
   apply_departures(departed, t);
-  metrics_.set("population.alive", static_cast<double>(alive_peers_));
+  metrics_.set(hot_.population_alive, static_cast<double>(alive_peers_));
 }
 
 void Runtime::apply_directive(int id, Channel& channel,
@@ -1389,10 +1393,6 @@ void Runtime::apply_directive(int id, Channel& channel,
   if (rate_before > 0.0) {
     metrics_.observe("control.recovered_ratio",
                      outcome.achieved_rate / rate_before);
-    if (config_.telemetry != nullptr && outcome.achieved_rate >= 0.0) {
-      config_.telemetry->observe(tel_.recovered,
-                                 outcome.achieved_rate / rate_before);
-    }
   }
   if (config_.telemetry != nullptr) {
     // Heavy-hitter view of the control plane: which nodes keep costing
@@ -1401,8 +1401,8 @@ void Runtime::apply_directive(int id, Channel& channel,
     for (const control::Evidence& ev : directive.evidence) {
       if (ev.node < 0 || std::strcmp(ev.action, "demote") != 0) continue;
       const double drop = std::max(0.0, ev.factor_before - ev.factor_after);
-      config_.telemetry->offer(
-          tel_.node_demotions,
+      metrics_.offer(
+          hot_.node_demotions,
           "node:" + config_.telemetry_node_prefix + std::to_string(ev.node),
           std::max<std::uint64_t>(
               1, static_cast<std::uint64_t>(std::lround(drop * 1000.0))));
@@ -1557,50 +1557,33 @@ void Runtime::sync_execution(int id, Channel& channel) {
 void Runtime::export_dataplane_metrics(int id, Channel& channel) {
   if (!channel.execution) return;
   dataplane::Execution& exec = *channel.execution;
-  // Interned delta export: each dataplane counter's cell resolves once
-  // (lazily, on the first positive delta — so a run that never loses a
-  // chunk still never materializes dataplane.losses) and the telemetry
-  // shard mirrors the same delta through its O(1) handle.
-  const auto delta = [this](std::uint64_t*& slot, const char* name,
-                            obs::ShardRegistry::CounterHandle mirror,
+  // Delta export through interned handles.
+  const auto delta = [this](obs::ShardRegistry::CounterHandle handle,
                             std::uint64_t current, std::uint64_t& seen) {
     if (current > seen) {
-      if (slot == nullptr) slot = metrics_.counter_handle(name);
-      *slot += current - seen;
-      if (config_.telemetry != nullptr) {
-        config_.telemetry->inc(mirror, current - seen);
-      }
+      metrics_.inc(handle, current - seen);
       seen = current;
     }
   };
-  delta(hot_.dp_delivered, "dataplane.delivered", tel_.delivered,
-        exec.delivered_chunks(), channel.seen_delivered);
-  delta(hot_.dp_losses, "dataplane.losses", tel_.losses, exec.losses(),
-        channel.seen_losses);
-  delta(hot_.dp_retransmits, "dataplane.retransmits", tel_.retransmits,
-        exec.retransmits(), channel.seen_retransmits);
-  delta(hot_.dp_hol_stalls, "dataplane.hol_stalls", tel_.hol_stalls,
-        exec.hol_stalls(), channel.seen_stalls);
-  delta(hot_.dp_duplicates, "dataplane.duplicates", tel_.duplicates,
-        exec.duplicates(), channel.seen_duplicates);
+  delta(hot_.dp_delivered, exec.delivered_chunks(), channel.seen_delivered);
+  delta(hot_.dp_losses, exec.losses(), channel.seen_losses);
+  delta(hot_.dp_retransmits, exec.retransmits(), channel.seen_retransmits);
+  delta(hot_.dp_hol_stalls, exec.hol_stalls(), channel.seen_stalls);
+  delta(hot_.dp_duplicates, exec.duplicates(), channel.seen_duplicates);
   for (const double latency : exec.drain_latencies()) {
-    if (hot_.dp_chunk_latency == nullptr) {
-      hot_.dp_chunk_latency =
-          metrics_.histogram_handle("dataplane.chunk_latency");
-    }
-    hot_.dp_chunk_latency->observe(latency);
-    if (config_.telemetry != nullptr) {
-      config_.telemetry->observe(tel_.latency, latency);
-    }
-    if (channel.slo) channel.slo->observe_latency(latency);
+    observe_chunk_latency(channel, latency);
   }
   metrics_.set(channel_metric(id, "dataplane.delivered"),
                static_cast<double>(exec.delivered_chunks()));
 }
 
+void Runtime::observe_chunk_latency(Channel& channel, double latency) {
+  metrics_.observe(hot_.dp_chunk_latency, latency);
+  if (channel.slo) channel.slo->observe_latency(latency);
+}
+
 void Runtime::feed_edge_telemetry(Channel& channel,
                                   const dataplane::Execution& exec) {
-  obs::ShardRegistry& shard = *config_.telemetry;
   const std::string& prefix = config_.telemetry_node_prefix;
   // This sweep runs at every control tick; both lookup structures are
   // reused scratch, so the steady state allocates nothing.
@@ -1637,13 +1620,15 @@ void Runtime::feed_edge_telemetry(Channel& channel,
     const std::string node_key =
         "node:" + prefix + std::to_string(from_rid);
     if (lost_delta > 0) {
-      shard.offer(tel_.edge_retransmits,
-                  "edge:" + prefix + std::to_string(from_rid) + "->" +
-                      std::to_string(to_rid),
-                  lost_delta);
-      shard.offer(tel_.node_retransmits, node_key, lost_delta);
+      metrics_.offer(hot_.edge_retransmits,
+                     "edge:" + prefix + std::to_string(from_rid) + "->" +
+                         std::to_string(to_rid),
+                     lost_delta);
+      metrics_.offer(hot_.node_retransmits, node_key, lost_delta);
     }
-    if (stall_delta > 0) shard.offer(tel_.node_stalls, node_key, stall_delta);
+    if (stall_delta > 0) {
+      metrics_.offer(hot_.node_stalls, node_key, stall_delta);
+    }
   }
 }
 
@@ -1712,8 +1697,6 @@ StreamReport Runtime::finalize_stream(int id, Channel& channel) {
   metrics_.observe("dataplane.sustained_ratio", report.sustained_ratio);
   metrics_.observe("dataplane.achieved_rate", report.achieved_rate);
   if (config_.telemetry != nullptr) {
-    config_.telemetry->observe(tel_.sustained,
-                               std::max(0.0, report.sustained_ratio));
     // Control-less runs never tick feed_edge_telemetry; the close-out
     // sweep attributes whatever accumulated since the last boundary.
     feed_edge_telemetry(channel, exec);

@@ -28,6 +28,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -42,7 +43,6 @@
 #include "bmp/obs/slo.hpp"
 #include "bmp/runtime/capacity_broker.hpp"
 #include "bmp/runtime/event.hpp"
-#include "bmp/runtime/metrics.hpp"
 
 namespace bmp::obs {
 class Profiler;
@@ -162,19 +162,19 @@ struct RuntimeConfig {
   /// delivered chunk into this sink — the critical-path analyzer's input
   /// (obs::analyze_critical_path). Non-owning; must outlive the runtime.
   obs::LineageSink* lineage = nullptr;
-  /// Sharded telemetry rollup (null = off): the runtime pre-registers its
-  /// scale-facing series here at construction — chunk-latency /
-  /// sustained-ratio / SLO sketches plus bounded top-K heavy-hitter tables
-  /// of the worst nodes and edges by retransmit, stall and demotion weight
-  /// — and records through interned O(1) handles, replacing any
-  /// record-everything-per-node series. One registry per shard (it is
+  /// Sharded telemetry rollup (null = the runtime keeps its own registry):
+  /// the runtime records every series into this registry instead —
+  /// Runtime::metrics() then returns it — and additionally keeps bounded
+  /// top-K heavy-hitter tables of the worst nodes and edges by
+  /// retransmit, stall and demotion weight. One registry per shard (it is
   /// single-threaded, like the runtime); shard snapshots roll up to a
   /// byte-identical global obs::RollupSnapshot regardless of merge order
   /// or planner thread count. Non-owning; must outlive the runtime.
   obs::ShardRegistry* telemetry = nullptr;
   /// Disambiguates node/edge heavy-hitter keys across shards (each shard
   /// numbers its nodes from 0): keys render as
-  /// `node:<prefix><id>` / `edge:<prefix><from>-><to>`.
+  /// `node:<prefix><id>` / `edge:<prefix><from>-><to>`. Checked with
+  /// obs::check_label at construction (std::invalid_argument).
   std::string telemetry_node_prefix;
 };
 
@@ -244,6 +244,8 @@ class Runtime {
   /// Nodes joining later get the next ids in event order.
   Runtime(RuntimeConfig config, double source_bandwidth,
           const std::vector<NodeSpec>& initial_peers);
+  Runtime(const Runtime&) = delete;
+  Runtime& operator=(const Runtime&) = delete;
 
   /// Replays a time-sorted stream (throws on out-of-order events).
   void run(const std::vector<Event>& events);
@@ -255,7 +257,9 @@ class Runtime {
   [[nodiscard]] std::size_t open_channels() const { return channels_.size(); }
   [[nodiscard]] const CapacityBroker& broker() const { return broker_; }
   [[nodiscard]] const engine::Planner& planner() const { return planner_; }
-  [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
+  /// The registry every series is recorded into: *config.telemetry when
+  /// set, else the runtime's own.
+  [[nodiscard]] const obs::ShardRegistry& metrics() const { return metrics_; }
   [[nodiscard]] const std::vector<ChurnReport>& churn_log() const {
     return churn_log_;
   }
@@ -437,49 +441,41 @@ class Runtime {
   void set_channel_gauges(int id, const Channel& channel);
   [[nodiscard]] std::string channel_metric(int id, const char* what) const;
 
-  /// Interned hot-path metric cells (satellite of the telemetry-at-scale
-  /// work): the per-event metrics the loop used to reach through
-  /// string-keyed map lookups are resolved once — lazily, on first use, so
-  /// snapshot contents match the old create-on-first-touch behavior — and
-  /// bumped through stable pointers thereafter (MetricsRegistry handles).
-  /// None of these series is ever erase()d.
+  /// Interned hot-path series: the per-event / per-chunk metrics resolve
+  /// to registry handles once and are recorded through an array index
+  /// thereafter. Registered at construction with their subsystem (the
+  /// dataplane ones only in execution mode, and so on); none is ever
+  /// erase()d.
   struct HotMetrics {
-    std::uint64_t* events_total = nullptr;
-    std::uint64_t* events_by_type[8] = {};
-    std::uint64_t* broker_admitted = nullptr;
-    std::uint64_t* broker_rejected = nullptr;
-    std::uint64_t* broker_released = nullptr;
-    double* broker_allocated = nullptr;
-    double* channels_open = nullptr;
-    double* population_alive = nullptr;
-    WindowedHistogram* timing_event_loop = nullptr;
-    std::uint64_t* dp_delivered = nullptr;
-    std::uint64_t* dp_losses = nullptr;
-    std::uint64_t* dp_retransmits = nullptr;
-    std::uint64_t* dp_hol_stalls = nullptr;
-    std::uint64_t* dp_duplicates = nullptr;
-    WindowedHistogram* dp_chunk_latency = nullptr;
-    std::uint64_t* control_samples = nullptr;
-  };
-  /// Shard-registry handles, registered at construction when
-  /// config_.telemetry is set (all O(1) to record through).
-  struct Telemetry {
-    obs::ShardRegistry::CounterHandle delivered;
-    obs::ShardRegistry::CounterHandle losses;
-    obs::ShardRegistry::CounterHandle retransmits;
-    obs::ShardRegistry::CounterHandle hol_stalls;
-    obs::ShardRegistry::CounterHandle duplicates;
-    obs::ShardRegistry::CounterHandle events;
-    obs::ShardRegistry::GaugeHandle alive;
-    obs::ShardRegistry::SketchHandle latency;
-    obs::ShardRegistry::SketchHandle sustained;
-    obs::ShardRegistry::SketchHandle slo_worst;
-    obs::ShardRegistry::SketchHandle recovered;
+    obs::ShardRegistry::CounterHandle events_total;
+    obs::ShardRegistry::CounterHandle broker_admitted;
+    obs::ShardRegistry::CounterHandle broker_rejected;
+    obs::ShardRegistry::CounterHandle broker_released;
+    obs::ShardRegistry::GaugeHandle broker_allocated;
+    obs::ShardRegistry::GaugeHandle channels_open;
+    obs::ShardRegistry::GaugeHandle population_alive;
+    /// Per event type, registered on the type's first event.
+    std::optional<obs::ShardRegistry::CounterHandle> events_by_type[8];
+    obs::ShardRegistry::SketchHandle timing_event_loop;
+    obs::ShardRegistry::CounterHandle dp_delivered;
+    obs::ShardRegistry::CounterHandle dp_losses;
+    obs::ShardRegistry::CounterHandle dp_retransmits;
+    obs::ShardRegistry::CounterHandle dp_hol_stalls;
+    obs::ShardRegistry::CounterHandle dp_duplicates;
+    obs::ShardRegistry::SketchHandle dp_chunk_latency;
+    obs::ShardRegistry::CounterHandle control_samples;
+    // Top-K heavy hitters: registered only when config_.telemetry is set.
     obs::ShardRegistry::TopKHandle node_retransmits;
     obs::ShardRegistry::TopKHandle node_stalls;
     obs::ShardRegistry::TopKHandle edge_retransmits;
     obs::ShardRegistry::TopKHandle node_demotions;
   };
+  /// Registers the fixed-name series of every enabled subsystem and
+  /// interns the hot-path handles (constructor helper).
+  void register_series();
+  /// One delivered chunk's latency: dataplane.chunk_latency plus the
+  /// channel's SLO window.
+  void observe_chunk_latency(Channel& channel, double latency);
 
   RuntimeConfig config_;
   /// Planner-failure injection target, wired into the planner's config
@@ -489,9 +485,9 @@ class Runtime {
   engine::PlannerOutage* outage_ = nullptr;
   engine::Planner planner_;
   CapacityBroker broker_;
-  MetricsRegistry metrics_;
+  obs::ShardRegistry own_metrics_;  ///< used when config_.telemetry is null
+  obs::ShardRegistry& metrics_;     ///< *config_.telemetry or own_metrics_
   HotMetrics hot_;
-  Telemetry tel_;
   std::vector<Node> nodes_;  // index = runtime node id, 0 = source
   int alive_peers_ = 0;
   std::map<int, Channel> channels_;  // ordered: deterministic event handling

@@ -441,6 +441,28 @@ TEST(DataPlaneAcceptance, ChurningRuntimeSustains85PercentWithLivePatches) {
   EXPECT_GT(runtime.metrics().counter("repairs.incremental") +
                 runtime.metrics().counter("repairs.full"),
             0u);
+
+  // Every exported statistic of the chunk latency describes one (the
+  // lifetime) distribution, so the order statistics nest.
+  const obs::Sketch* latency =
+      runtime.metrics().sketch("dataplane.chunk_latency");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count(), runtime.metrics().counter("dataplane.delivered"));
+  EXPECT_LE(latency->min(), latency->quantile(0.50));
+  EXPECT_LE(latency->quantile(0.50), latency->quantile(0.90));
+  EXPECT_LE(latency->quantile(0.90), latency->quantile(0.99));
+  EXPECT_LE(latency->quantile(0.99), latency->max());
+
+  // Closed channels leave no channel.N.* series behind.
+  const obs::RollupSnapshot snap = runtime.metrics().snapshot();
+  for (std::size_t k = 0; k + drained.size() < runtime.stream_log().size();
+       ++k) {
+    const std::string prefix =
+        "channel." + std::to_string(runtime.stream_log()[k].channel) + ".";
+    for (const auto& [name, cell] : snap.gauges) {
+      EXPECT_NE(name.rfind(prefix, 0), 0u) << name;
+    }
+  }
 }
 
 TEST(DataPlaneAcceptance, ReplayIsIdenticalAcrossRunsAndThreadCounts) {
@@ -467,7 +489,7 @@ TEST(DataPlaneAcceptance, ReplayIsIdenticalAcrossRunsAndThreadCounts) {
   EXPECT_EQ(base.snapshot, threaded.snapshot);
   EXPECT_NE(base.snapshot.find("counter dataplane.delivered"),
             std::string::npos);
-  EXPECT_NE(base.snapshot.find("histogram dataplane.chunk_latency"),
+  EXPECT_NE(base.snapshot.find("sketch dataplane.chunk_latency"),
             std::string::npos);
 
   // ... and identical per-stream outcomes, chunk for chunk.

@@ -208,6 +208,38 @@ TEST(SloMonitor, LatencySliLabelsTheAlert) {
   EXPECT_EQ(monitor.alerts()[0].sli, "latency_p99");
 }
 
+TEST(SloMonitor, LatencyWindowEvictsExactlyAtBoundary) {
+  // The latency SLI is a sliding window of the last 512 deliveries:
+  // nearest-rank p99 is the 507th smallest, so six slow chunks hold it up
+  // and the 513th observation — evicting the first slow one — drops it.
+  obs::SloConfig config;
+  ASSERT_EQ(config.latency_window, 512u);
+  obs::SloMonitor monitor(0, config);
+  EXPECT_EQ(monitor.latency_p99(), 0.0);
+  for (int k = 0; k < 6; ++k) monitor.observe_latency(10.0);
+  for (int k = 0; k < 506; ++k) monitor.observe_latency(1.0);
+  EXPECT_EQ(monitor.latency_p99(), 10.0);
+  monitor.observe_latency(1.0);  // 512 + 1: the oldest 10.0 falls out
+  EXPECT_EQ(monitor.latency_p99(), 1.0);
+  // The evaluated sample carries the windowed value.
+  monitor.evaluate(1.0, /*sustained=*/0.95);
+  EXPECT_EQ(monitor.state(), obs::SloState::kOk);
+
+  obs::SloMonitor tiny(0, [] {
+    obs::SloConfig small;
+    small.latency_window = 4;
+    return small;
+  }());
+  for (const double v : {4.0, 1.0, 3.0, 2.0}) tiny.observe_latency(v);
+  EXPECT_EQ(tiny.latency_p99(), 4.0);
+  tiny.observe_latency(0.5);  // evicts 4.0: the window is {1, 3, 2, 0.5}
+  EXPECT_EQ(tiny.latency_p99(), 3.0);
+  EXPECT_THROW(tiny.observe_latency(std::nan("")), std::invalid_argument);
+  obs::SloConfig empty;
+  empty.latency_window = 0;
+  EXPECT_THROW(obs::SloMonitor(0, empty), std::invalid_argument);
+}
+
 // ----------------------------------------------- chunk sampling (ISSUE 10)
 
 TEST(LineageSampling, GatesWholeChunkDags) {

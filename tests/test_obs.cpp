@@ -1,10 +1,11 @@
 // Observability tests: TraceSink determinism and drop accounting, the
 // flight recorder's ring/dump mechanics and its Execution::validate hook,
-// the Prometheus/JSON metric exporters (timing.* convention included), and
-// MetricsRegistry edge cases (windowed-histogram eviction at the boundary,
-// erasing live metrics, snapshot byte-identity across planner threading).
+// and by-name ShardRegistry edge cases (lifetime quantiles, erasing live
+// metrics, export byte-identity across planner threading). The exporter
+// goldens live with the rollup goldens in test_rollup.cpp.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -16,7 +17,7 @@
 #include "bmp/obs/export.hpp"
 #include "bmp/obs/flight_recorder.hpp"
 #include "bmp/obs/trace.hpp"
-#include "bmp/runtime/metrics.hpp"
+#include "bmp/obs/rollup.hpp"
 #include "test_helpers.hpp"
 
 namespace bmp {
@@ -180,100 +181,35 @@ TEST(FlightRecorder, ExecutionValidateFailureAutoRecords) {
             std::string::npos);
 }
 
-// -------------------------------------------------------- metrics exporters
-
-runtime::MetricsRegistry sample_registry() {
-  runtime::MetricsRegistry metrics;
-  metrics.inc("events.seen", 3);
-  metrics.set("channels.open", 2.0);
-  metrics.observe("control.drift", 0.25);
-  metrics.observe("control.drift", 0.75);
-  metrics.observe("timing.event_loop_us", 123.0);
-  metrics.inc("timing.fake_count");
-  return metrics;
-}
-
-TEST(Exporters, PrometheusGolden) {
-  const std::string text = obs::to_prometheus(sample_registry().snapshot());
-  const std::string expected =
-      "# TYPE bmp_events_seen_total counter\n"
-      "bmp_events_seen_total 3\n"
-      "# TYPE bmp_channels_open gauge\n"
-      "bmp_channels_open 2\n"
-      "# TYPE bmp_control_drift summary\n"
-      "bmp_control_drift{quantile=\"0.5\"} 0.25\n"
-      "bmp_control_drift{quantile=\"0.9\"} 0.75\n"
-      "bmp_control_drift{quantile=\"0.99\"} 0.75\n"
-      "bmp_control_drift_sum 1\n"
-      "bmp_control_drift_count 2\n"
-      "# TYPE bmp_control_drift_hist histogram\n"
-      "bmp_control_drift_hist_bucket{le=\"0.005\"} 0\n"
-      "bmp_control_drift_hist_bucket{le=\"0.01\"} 0\n"
-      "bmp_control_drift_hist_bucket{le=\"0.025\"} 0\n"
-      "bmp_control_drift_hist_bucket{le=\"0.05\"} 0\n"
-      "bmp_control_drift_hist_bucket{le=\"0.1\"} 0\n"
-      "bmp_control_drift_hist_bucket{le=\"0.25\"} 1\n"
-      "bmp_control_drift_hist_bucket{le=\"0.5\"} 1\n"
-      "bmp_control_drift_hist_bucket{le=\"1\"} 2\n"
-      "bmp_control_drift_hist_bucket{le=\"2.5\"} 2\n"
-      "bmp_control_drift_hist_bucket{le=\"5\"} 2\n"
-      "bmp_control_drift_hist_bucket{le=\"10\"} 2\n"
-      "bmp_control_drift_hist_bucket{le=\"25\"} 2\n"
-      "bmp_control_drift_hist_bucket{le=\"50\"} 2\n"
-      "bmp_control_drift_hist_bucket{le=\"100\"} 2\n"
-      "bmp_control_drift_hist_bucket{le=\"+Inf\"} 2\n"
-      "bmp_control_drift_hist_sum 1\n"
-      "bmp_control_drift_hist_count 2\n";
-  EXPECT_EQ(text, expected);
-}
-
-TEST(Exporters, JsonGoldenAndTimingConvention) {
-  const runtime::MetricsSnapshot snap = sample_registry().snapshot();
-  const std::string json = obs::to_json(snap);
-  const std::string expected =
-      "{\"counters\":{\"events.seen\":3},"
-      "\"gauges\":{\"channels.open\":2},"
-      "\"histograms\":{\"control.drift\":{\"count\":2,\"sum\":1,"
-      "\"min\":0.25,\"max\":0.75,\"mean\":0.5,"
-      "\"p50\":0.25,\"p90\":0.75,\"p99\":0.75}}}";
-  EXPECT_EQ(json, expected);
-  // The timing.* convention: excluded by default, included on request —
-  // and both exporters route through MetricsRegistry::is_timing.
-  EXPECT_EQ(json.find("timing"), std::string::npos);
-  EXPECT_NE(obs::to_json(snap, true).find("timing.event_loop_us"),
-            std::string::npos);
-  EXPECT_NE(obs::to_prometheus(snap, true).find("bmp_timing_fake_count_total"),
-            std::string::npos);
-  static_assert(runtime::MetricsRegistry::is_timing("timing.x"));
-  static_assert(!runtime::MetricsRegistry::is_timing("tim.x"));
-}
-
 // ------------------------------------------------------ metrics edge cases
 
-TEST(Metrics, WindowedHistogramEvictsExactlyAtBoundary) {
-  runtime::WindowedHistogram hist(4);
-  for (int i = 1; i <= 4; ++i) hist.observe(i);
-  EXPECT_EQ(hist.window_size(), 4u);
-  EXPECT_DOUBLE_EQ(hist.quantile(0.0), 1.0);
-  hist.observe(5.0);  // evicts 1 — the window is now {2, 3, 4, 5}
-  EXPECT_EQ(hist.count(), 5u);
-  EXPECT_EQ(hist.window_size(), 4u);
-  EXPECT_DOUBLE_EQ(hist.quantile(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(hist.quantile(1.0), 5.0);
-  // Cumulative stats keep the evicted observation.
-  EXPECT_DOUBLE_EQ(hist.min(), 1.0);
-  EXPECT_DOUBLE_EQ(hist.sum(), 15.0);
+TEST(Metrics, QuantilesCoverTheWholeSeries) {
+  // Every exported statistic describes one distribution: the lifetime
+  // one. A window-only quantile (the last 1024 of 1..4000) would put the
+  // median at 3488.
+  obs::ShardRegistry metrics;
+  for (int v = 1; v <= 4000; ++v) metrics.observe("latency", v);
+  const obs::Sketch* sketch = metrics.sketch("latency");
+  ASSERT_NE(sketch, nullptr);
+  const double alpha = sketch->config().alpha;
+  EXPECT_EQ(sketch->count(), 4000u);
+  EXPECT_LE(std::fabs(sketch->quantile(0.5) - 2000.0), alpha * 2000.0);
+  EXPECT_LE(std::fabs(sketch->quantile(0.99) - 3960.0), alpha * 3960.0);
+  const double exact_sum = 4000.0 * 4001.0 / 2.0;
+  EXPECT_LE(std::fabs(sketch->sum() - exact_sum), alpha * exact_sum);
+  EXPECT_EQ(sketch->min(), 1.0);
+  EXPECT_EQ(sketch->max(), 4000.0);
 }
 
-TEST(Metrics, EraseLiveHistogramThenReobserveStartsFresh) {
-  runtime::MetricsRegistry metrics;
+TEST(Metrics, EraseLiveSketchThenReobserveStartsFresh) {
+  obs::ShardRegistry metrics;
   metrics.observe("hist.x", 100.0);
   metrics.erase("hist.x");
-  EXPECT_EQ(metrics.histogram("hist.x"), nullptr);
+  EXPECT_EQ(metrics.sketch("hist.x"), nullptr);
   metrics.observe("hist.x", 1.0);
-  ASSERT_NE(metrics.histogram("hist.x"), nullptr);
-  EXPECT_EQ(metrics.histogram("hist.x")->count(), 1u);
-  EXPECT_DOUBLE_EQ(metrics.histogram("hist.x")->max(), 1.0);
+  ASSERT_NE(metrics.sketch("hist.x"), nullptr);
+  EXPECT_EQ(metrics.sketch("hist.x")->count(), 1u);
+  EXPECT_DOUBLE_EQ(metrics.sketch("hist.x")->max(), 1.0);
 }
 
 TEST(Metrics, ExportByteIdenticalAcrossPlannerThreadCounts) {
@@ -294,7 +230,7 @@ TEST(Metrics, ExportByteIdenticalAcrossPlannerThreadCounts) {
     engine::Planner planner(config);
     const std::vector<engine::PlanResponse> responses =
         planner.plan_batch(stream);
-    runtime::MetricsRegistry metrics;
+    obs::ShardRegistry metrics;
     for (const engine::PlanResponse& response : responses) {
       metrics.inc(response.cache_hit ? "plan.hits" : "plan.misses");
       metrics.observe("plan.throughput", response.throughput);

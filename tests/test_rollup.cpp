@@ -1,12 +1,14 @@
-// Sharded rollup tests (ISSUE 10): ShardRegistry handle registration and
-// recording, the exact commutative/associative snapshot merge (byte-level
+// Sharded rollup tests: ShardRegistry handle registration and recording,
+// by-name recording, erase and slot reuse, label checks on names and
+// top-K keys, the exact commutative/associative snapshot merge (byte-level
 // JSON identity for every shard order and every RollupTree shape), the
-// lossless snapshot JSON round-trip, the MetricsSnapshot flattening, the
-// Prometheus/JSON exporter goldens that document the sketch relative-error
-// contract — and the 500-node acceptance bar: the adaptive brownout
-// scenario with telemetry on yields byte-identical rollups across planner
-// thread counts, sketch quantiles within alpha of the exact sorted
-// latencies, and order-independent two-shard merges.
+// lossless snapshot JSON round-trip and a seeded mutation harness against
+// the parser, the Prometheus/JSON exporter goldens that document the
+// sketch relative-error contract and the timing.* convention — and the
+// 500-node acceptance bar: the adaptive brownout scenario with telemetry
+// on yields byte-identical rollups across planner thread counts, sketch
+// quantiles within alpha of the exact sorted latencies, and
+// order-independent two-shard merges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include "bmp/obs/rollup.hpp"
 #include "bmp/runtime/runtime.hpp"
 #include "bmp/runtime/scenario.hpp"
+#include "bmp/util/rng.hpp"
 
 namespace bmp {
 namespace {
@@ -30,10 +33,12 @@ namespace {
 
 TEST(ShardRegistry, HandlesRecordIntoSnapshot) {
   obs::ShardRegistry reg;
-  const auto delivered = reg.counter("dataplane.delivered");
-  const auto alive = reg.gauge("population.alive", obs::GaugeReduction::kSum);
-  const auto latency = reg.sketch("latency", obs::SketchConfig{0.01, 1e-9});
-  const auto worst = reg.topk("worst", 4);
+  const auto delivered = reg.counter_handle("dataplane.delivered");
+  const auto alive =
+      reg.gauge_handle("population.alive", obs::GaugeReduction::kSum);
+  const auto latency =
+      reg.sketch_handle("latency", obs::SketchConfig{0.01, 1e-9});
+  const auto worst = reg.topk_handle("worst", 4);
 
   reg.inc(delivered, 41);
   reg.inc(delivered);
@@ -58,18 +63,107 @@ TEST(ShardRegistry, HandlesRecordIntoSnapshot) {
 
 TEST(ShardRegistry, RegistrationIsIdempotentAndConflictsThrow) {
   obs::ShardRegistry reg;
-  const auto a = reg.counter("c");
-  const auto b = reg.counter("c");
+  const auto a = reg.counter_handle("c");
+  const auto b = reg.counter_handle("c");
   EXPECT_EQ(a.index, b.index);
-  reg.gauge("g", obs::GaugeReduction::kSum);
-  EXPECT_NO_THROW(reg.gauge("g", obs::GaugeReduction::kSum));
-  EXPECT_THROW(reg.gauge("g", obs::GaugeReduction::kMax),
+  reg.gauge_handle("g", obs::GaugeReduction::kSum);
+  EXPECT_NO_THROW(reg.gauge_handle("g", obs::GaugeReduction::kSum));
+  EXPECT_THROW(reg.gauge_handle("g", obs::GaugeReduction::kMax),
                std::invalid_argument);
-  reg.sketch("s", obs::SketchConfig{0.01, 1e-9});
-  EXPECT_THROW(reg.sketch("s", obs::SketchConfig{0.02, 1e-9}),
+  reg.sketch_handle("s", obs::SketchConfig{0.01, 1e-9});
+  EXPECT_THROW(reg.sketch_handle("s", obs::SketchConfig{0.02, 1e-9}),
                std::invalid_argument);
-  reg.topk("t", 8);
-  EXPECT_THROW(reg.topk("t", 16), std::invalid_argument);
+  reg.topk_handle("t", 8);
+  EXPECT_THROW(reg.topk_handle("t", 16), std::invalid_argument);
+}
+
+TEST(ShardRegistry, ByNameRecordingFindsRegisteredSeries) {
+  obs::ShardRegistry reg;
+  const auto alive = reg.gauge_handle("alive", obs::GaugeReduction::kSum);
+  reg.set("alive", 7.0);  // by name: keeps the registered sum reduction
+  EXPECT_EQ(reg.gauge_value(alive), 7.0);
+  EXPECT_EQ(reg.snapshot().gauges.at("alive").reduction,
+            obs::GaugeReduction::kSum);
+  reg.inc("hits", 2);
+  reg.inc(reg.counter_handle("hits"));
+  EXPECT_EQ(reg.counter("hits"), 3u);
+  reg.set_counter("hits", 10);
+  EXPECT_EQ(reg.counter("hits"), 10u);
+  EXPECT_EQ(reg.counter("absent"), 0u);
+  EXPECT_EQ(reg.gauge("absent"), 0.0);
+  EXPECT_EQ(reg.sketch("absent"), nullptr);
+  reg.observe("lat", 2.0);
+  ASSERT_NE(reg.sketch("lat"), nullptr);
+  EXPECT_EQ(reg.sketch("lat")->count(), 1u);
+  EXPECT_EQ(reg.series(), 3u);
+}
+
+TEST(ShardRegistry, EraseFreesSlotsAndKeepsOtherHandlesValid) {
+  // Per-channel series come and go forever; the registry must not grow
+  // with them, and interned handles to other series must keep recording
+  // into their own cells across every registration and erase.
+  obs::ShardRegistry reg;
+  const auto kept = reg.counter_handle("events.total");
+  const auto lat = reg.sketch_handle("latency");
+  std::size_t bytes_after_warmup = 0;
+  for (int channel = 0; channel < 1000; ++channel) {
+    const std::string base = "channel." + std::to_string(channel) + ".";
+    reg.set(base + "fraction", 0.5);
+    reg.inc(base + "opens");
+    reg.observe(base + "latency", 1.0 + channel);
+    reg.inc(kept);
+    reg.observe(lat, 2.0);
+    EXPECT_EQ(reg.series(), 5u);
+    reg.erase(base + "fraction");
+    reg.erase(base + "opens");
+    reg.erase(base + "latency");
+    reg.erase("never.existed");  // no-op
+    if (channel == 10) bytes_after_warmup = reg.memory_bytes();
+  }
+  EXPECT_EQ(reg.series(), 2u);
+  EXPECT_LE(reg.memory_bytes(), bytes_after_warmup + 256);
+  EXPECT_EQ(reg.counter_value(kept), 1000u);
+  EXPECT_EQ(reg.sketch_value(lat).count(), 1000u);
+  const obs::RollupSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.size(), 1u);
+  EXPECT_TRUE(snap.gauges.empty());
+  EXPECT_EQ(snap.sketches.size(), 1u);
+  // A re-created series starts fresh in its reused slot.
+  reg.observe("channel.3.latency", 5.0);
+  EXPECT_EQ(reg.sketch("channel.3.latency")->count(), 1u);
+  EXPECT_EQ(reg.sketch("channel.3.latency")->max(), 5.0);
+}
+
+TEST(ShardRegistry, RejectsNamesAndKeysThatWouldBreakExports) {
+  // A quote, backslash or control character would corrupt the JSON dump
+  // (it then fails its own parser) and the Prometheus label syntax.
+  obs::ShardRegistry reg;
+  const auto hot = reg.topk_handle("hot.node_retransmits");
+  EXPECT_THROW(reg.offer(hot, "node:a\"b:7"), std::invalid_argument);
+  EXPECT_THROW(reg.offer(hot, "node:a\\b"), std::invalid_argument);
+  EXPECT_THROW(reg.offer(hot, "node:\n"), std::invalid_argument);
+  EXPECT_THROW(reg.offer(hot, ""), std::invalid_argument);
+  EXPECT_NO_THROW(reg.offer(hot, "edge:s0:1->2"));
+  EXPECT_THROW(reg.counter_handle("a\"b"), std::invalid_argument);
+  EXPECT_THROW(reg.inc("a\\b"), std::invalid_argument);
+  EXPECT_THROW(reg.set(std::string("a\x01"), 1.0), std::invalid_argument);
+  EXPECT_THROW(reg.observe("tab\tname", 1.0), std::invalid_argument);
+  EXPECT_THROW(reg.gauge_handle(""), std::invalid_argument);
+  EXPECT_THROW(reg.sketch_handle("ok", obs::SketchConfig{0.0, 1e-9}),
+               std::invalid_argument);
+  // Nothing rejected was registered; what was accepted dumps and parses.
+  EXPECT_EQ(reg.series(), 1u);
+  obs::RollupSnapshot parsed;
+  EXPECT_TRUE(obs::parse_rollup_json(reg.snapshot().to_json(), parsed));
+
+  // The runtime checks its key prefix once, at construction.
+  std::vector<runtime::NodeSpec> peers(1);
+  peers[0].bandwidth = 1.0;
+  runtime::RuntimeConfig config;
+  config.telemetry_node_prefix = "s0:";
+  EXPECT_NO_THROW(runtime::Runtime(config, 4.0, peers));
+  config.telemetry_node_prefix = "a\"b:";
+  EXPECT_THROW(runtime::Runtime(config, 4.0, peers), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ merge units
@@ -79,12 +173,12 @@ std::vector<obs::RollupSnapshot> make_shards(int count) {
   std::vector<obs::RollupSnapshot> shards;
   for (int s = 0; s < count; ++s) {
     obs::ShardRegistry reg;
-    const auto delivered = reg.counter("delivered");
-    const auto alive = reg.gauge("alive", obs::GaugeReduction::kSum);
-    const auto low = reg.gauge("low_water", obs::GaugeReduction::kMin);
-    const auto high = reg.gauge("high_water", obs::GaugeReduction::kMax);
-    const auto lat = reg.sketch("latency", obs::SketchConfig{0.01, 1e-9});
-    const auto worst = reg.topk("worst", 3);
+    const auto delivered = reg.counter_handle("delivered");
+    const auto alive = reg.gauge_handle("alive", obs::GaugeReduction::kSum);
+    const auto low = reg.gauge_handle("low_water", obs::GaugeReduction::kMin);
+    const auto high = reg.gauge_handle("high_water", obs::GaugeReduction::kMax);
+    const auto lat = reg.sketch_handle("latency", obs::SketchConfig{0.01, 1e-9});
+    const auto worst = reg.topk_handle("worst", 3);
     reg.inc(delivered, static_cast<std::uint64_t>(100 + s));
     reg.set(alive, 10.0 * (s + 1));
     reg.set(low, 5.0 - s);
@@ -128,9 +222,9 @@ TEST(Rollup, MergeOrderAndTreeShapeAreByteIdentical) {
 
 TEST(Rollup, MergeRejectsConflictingSeriesDefinitions) {
   obs::ShardRegistry a;
-  a.gauge("g", obs::GaugeReduction::kSum);
+  a.gauge_handle("g", obs::GaugeReduction::kSum);
   obs::ShardRegistry b;
-  b.gauge("g", obs::GaugeReduction::kMax);
+  b.gauge_handle("g", obs::GaugeReduction::kMax);
   obs::RollupSnapshot left = a.snapshot();
   EXPECT_THROW(left.merge(b.snapshot()), std::invalid_argument);
 }
@@ -154,32 +248,101 @@ TEST(Rollup, JsonRoundTripIsLossless) {
   EXPECT_FALSE(obs::parse_rollup_json("{\"not\":\"a rollup\"}", bad));
 }
 
-TEST(Rollup, ToMetricsFlattensEverySeriesKind) {
-  obs::ShardRegistry reg;
-  const auto c = reg.counter("delivered");
-  const auto g = reg.gauge("alive", obs::GaugeReduction::kSum);
-  const auto s = reg.sketch("latency", obs::SketchConfig{0.01, 1e-9});
-  const auto t = reg.topk("worst", 4);
-  reg.inc(c, 9);
-  reg.set(g, 3.0);
-  reg.observe(s, 0.003);  // representative <= 0.005: first export bucket
-  reg.observe(s, 0.7);    // representative <= 1.0: eighth export bucket
-  reg.offer(t, "node:5", 6);
+/// Replaces the first occurrence of `from` in `text` (which must exist).
+std::string patch(std::string text, const std::string& from,
+                  const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
 
-  const runtime::MetricsSnapshot snap = reg.snapshot().to_metrics();
-  EXPECT_EQ(snap.counters.at("delivered"), 9u);
-  EXPECT_EQ(snap.gauges.at("alive"), 3.0);
-  // Top-K rows land as counters named <series>.<key>.
-  EXPECT_EQ(snap.counters.at("worst.node:5"), 6u);
-  // The sketch's log buckets re-bin onto the fixed export bounds
-  // cumulatively.
-  const runtime::HistogramStats& stats = snap.histograms.at("latency");
-  EXPECT_EQ(stats.count, 2u);
-  ASSERT_EQ(stats.buckets.size(),
-            runtime::WindowedHistogram::kBucketBounds.size());
-  EXPECT_EQ(stats.buckets[0], 1u);  // <= 0.005
-  EXPECT_EQ(stats.buckets[7], 2u);  // <= 1.0
-  EXPECT_EQ(stats.buckets.back(), 2u);
+TEST(Rollup, ParserRejectsOutOfRangeFields) {
+  obs::ShardRegistry reg;
+  reg.inc("delivered", 5);
+  reg.set("alive", 3.0);
+  reg.observe("latency", 1.0);
+  reg.offer(reg.topk_handle("worst", 4), "node:1", 5);
+  const std::string dump = reg.snapshot().to_json();
+  obs::RollupSnapshot out;
+  ASSERT_TRUE(obs::parse_rollup_json(dump, out));
+  ASSERT_TRUE(obs::parse_rollup_json("\n " + dump + "\n", out));
+
+  const std::vector<std::string> bad = {
+      patch(dump, "\"alpha\":0.01", "\"alpha\":0"),
+      patch(dump, "\"alpha\":0.01", "\"alpha\":1.5"),
+      patch(dump, "\"alpha\":0.01", "\"alpha\":1e-300"),
+      patch(dump, "\"min_value\":1.0000000000000001e-09",
+            "\"min_value\":0"),
+      patch(dump, "\"offset\":0", "\"offset\":2147483647"),
+      patch(dump, "\"offset\":0", "\"offset\":-99999999999"),
+      patch(dump, "\"min\":1", "\"min\":-1"),
+      patch(dump, "\"min\":1", "\"min\":2"),
+      patch(dump, "\"max\":1", "\"max\":1e999"),
+      patch(dump, "\"zero\":0", "\"zero\":18446744073709551615"),
+      patch(dump, "\"shards\":1", "\"shards\":3000000000"),
+      patch(dump, "\"delivered\":5", "\"delivered\":-5"),
+      patch(dump, "\"delivered\":5", "\"delivered\":99999999999999999999"),
+      patch(dump, "\"delivered\":5", "\"delivered\":05"),
+      patch(dump, "\"value\":3", "\"value\":nan"),
+      patch(dump, "\"capacity\":4", "\"capacity\":0"),
+      patch(dump, "[\"node:1\",5,0]", "[\"node:1\",5,6]"),
+      patch(dump, "\"node:1\"", "\"node:\\1\""),
+      patch(dump, "\"delivered\"", "\"deli\tvered\""),
+      patch(dump, "\"delivered\"", "\"\""),
+  };
+  for (const std::string& text : bad) {
+    bool parsed = true;
+    EXPECT_NO_THROW(parsed = obs::parse_rollup_json(text, out)) << text;
+    EXPECT_FALSE(parsed) << text;
+  }
+}
+
+TEST(Rollup, SeededMutantsAreRejectedOrRoundTripExactly) {
+  // Truncations, bit flips and splices of a valid multi-series dump: the
+  // parser must never throw, and anything it accepts must re-dump
+  // byte-identically and render through every exporter.
+  const std::string dump = obs::rollup(make_shards(3)).to_json();
+  util::Xoshiro256 rng(20260417);
+  int accepted = 0;
+  int rejected = 0;
+  for (int k = 0; k < 12000; ++k) {
+    std::string mutant = dump;
+    switch (k % 3) {
+      case 0:  // truncate
+        mutant.resize(rng.below(mutant.size()));
+        break;
+      case 1: {  // flip one bit
+        const std::size_t at = rng.below(mutant.size());
+        mutant[at] = static_cast<char>(
+            static_cast<unsigned char>(mutant[at]) ^ (1u << rng.below(8)));
+        break;
+      }
+      default: {  // splice a chunk of the dump over another position
+        const std::size_t from = rng.below(dump.size());
+        const std::size_t len = 1 + rng.below(24);
+        const std::size_t to = rng.below(mutant.size());
+        mutant.replace(to, len, dump.substr(from, len));
+        break;
+      }
+    }
+    obs::RollupSnapshot parsed;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = obs::parse_rollup_json(mutant, parsed)) << mutant;
+    if (!ok) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(parsed.to_json(), mutant);
+    ASSERT_NO_THROW({
+      (void)obs::to_prometheus(parsed, true);
+      (void)obs::to_json(parsed, true);
+      (void)parsed.to_string();
+    });
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // -------------------------------------------------------- exporter goldens
@@ -187,18 +350,23 @@ TEST(Rollup, ToMetricsFlattensEverySeriesKind) {
 /// One observation of 1.0 in an alpha = 0.01 sketch: gamma = 1.01/0.99,
 /// the value lands in bucket 0 (range (gamma^-1, 1]) whose representative
 /// is 2/(gamma+1) = 0.99 — exactly the documented worst-case relative
-/// error: |0.99 - 1.0| = alpha * 1.0. The goldens below pin that rendering.
+/// error: |0.99 - 1.0| = alpha * 1.0. The sum carries that error; the
+/// quantiles clamp to [min, max] = [1, 1]. The timing.* series are
+/// excluded from the default exports. The goldens below pin that
+/// rendering.
 obs::RollupSnapshot golden_snapshot() {
   obs::ShardRegistry reg;
-  const auto c = reg.counter("events.total");
-  const auto g = reg.gauge("alive", obs::GaugeReduction::kSum);
-  const auto s = reg.sketch("latency", obs::SketchConfig{0.01, 1e-9});
-  const auto t = reg.topk("worst", 4);
+  const auto c = reg.counter_handle("events.total");
+  const auto g = reg.gauge_handle("alive", obs::GaugeReduction::kSum);
+  const auto s = reg.sketch_handle("latency", obs::SketchConfig{0.01, 1e-9});
+  const auto t = reg.topk_handle("worst", 4);
   reg.inc(c, 3);
   reg.set(g, 2.0);
   reg.observe(s, 1.0);
   reg.offer(t, "node:1", 5);
   reg.offer(t, "node:2", 2);
+  reg.observe("timing.event_loop_us", 123.0);
+  reg.inc("timing.fake_count");
   return reg.snapshot();
 }
 
@@ -209,9 +377,9 @@ TEST(RollupExport, PrometheusGolden) {
       "# TYPE bmp_alive gauge\n"
       "bmp_alive 2\n"
       "# TYPE bmp_latency summary\n"
-      "bmp_latency{quantile=\"0.5\"} 0.99\n"
-      "bmp_latency{quantile=\"0.9\"} 0.99\n"
-      "bmp_latency{quantile=\"0.99\"} 0.99\n"
+      "bmp_latency{quantile=\"0.5\"} 1\n"
+      "bmp_latency{quantile=\"0.9\"} 1\n"
+      "bmp_latency{quantile=\"0.99\"} 1\n"
       "bmp_latency_sum 0.99\n"
       "bmp_latency_count 1\n"
       "# TYPE bmp_latency_sketch histogram\n"
@@ -223,6 +391,11 @@ TEST(RollupExport, PrometheusGolden) {
       "bmp_worst{key=\"node:1\"} 5\n"
       "bmp_worst{key=\"node:2\"} 2\n";
   EXPECT_EQ(obs::to_prometheus(golden_snapshot()), expected);
+  // The timing.* convention: excluded by default, included on request.
+  const std::string timed = obs::to_prometheus(golden_snapshot(), true);
+  EXPECT_NE(timed.find("bmp_timing_fake_count_total 1"), std::string::npos);
+  EXPECT_NE(timed.find("bmp_timing_event_loop_us_count 1"),
+            std::string::npos);
 }
 
 TEST(RollupExport, JsonGolden) {
@@ -230,10 +403,30 @@ TEST(RollupExport, JsonGolden) {
       "{\"shards\":1,\"counters\":{\"events.total\":3},"
       "\"gauges\":{\"alive\":2},"
       "\"sketches\":{\"latency\":{\"count\":1,\"sum\":0.99,\"min\":1,"
-      "\"max\":1,\"mean\":0.99,\"p50\":0.99,\"p90\":0.99,\"p99\":0.99,"
+      "\"max\":1,\"mean\":0.99,\"p50\":1,\"p90\":1,\"p99\":1,"
       "\"alpha\":0.01}},"
       "\"topk\":{\"worst\":[[\"node:1\",5,0],[\"node:2\",2,0]]}}";
   EXPECT_EQ(obs::to_json(golden_snapshot()), expected);
+  const std::string timed = obs::to_json(golden_snapshot(), true);
+  EXPECT_NE(timed.find("\"timing.event_loop_us\":{\"count\":1"),
+            std::string::npos);
+  EXPECT_NE(timed.find("\"timing.fake_count\":1"), std::string::npos);
+  static_assert(obs::is_timing("timing.x"));
+  static_assert(!obs::is_timing("tim.x"));
+}
+
+TEST(RollupExport, TextFormHonoursTheTimingConvention) {
+  const obs::RollupSnapshot snap = golden_snapshot();
+  const std::string text = snap.to_string(/*include_timing=*/false);
+  EXPECT_NE(text.find("counter events.total 3\n"), std::string::npos);
+  EXPECT_NE(text.find("gauge alive 2 (sum)\n"), std::string::npos);
+  EXPECT_NE(text.find("sketch latency count=1 sum=0.99 min=1 max=1 p50=1"),
+            std::string::npos);
+  EXPECT_NE(text.find("  node:1 count=5 (overcount<=0)\n"),
+            std::string::npos);
+  EXPECT_EQ(text.find(obs::kTimingPrefix), std::string::npos);
+  EXPECT_NE(snap.to_string().find("sketch timing.event_loop_us count=1"),
+            std::string::npos);
 }
 
 // ------------------------------------- 500-node acceptance (ISSUE 10)
@@ -308,8 +501,9 @@ void run_with_telemetry(const runtime::ScenarioScript& script, double chunk,
   marker.time = horizon;
   rt.step(marker);
   EXPECT_TRUE(rt.validate().empty());
-  // The telemetry mirror agrees with the classic registry on the shared
-  // fleet-wide counter.
+  // One registry: the runtime records every series into the telemetry
+  // registry it was handed.
+  EXPECT_EQ(&rt.metrics(), &reg);
   EXPECT_EQ(reg.snapshot().counters.at("dataplane.delivered"),
             rt.metrics().counter("dataplane.delivered"));
 }

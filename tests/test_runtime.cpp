@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "bmp/flow/maxflow.hpp"
+#include "bmp/obs/rollup.hpp"
 #include "bmp/runtime/capacity_broker.hpp"
-#include "bmp/runtime/metrics.hpp"
 #include "bmp/runtime/runtime.hpp"
 #include "bmp/runtime/scenario.hpp"
 
@@ -108,41 +108,23 @@ TEST(CapacityBroker, RejectsMalformedRequests) {
 
 // ----------------------------------------------------------------- metrics
 
-TEST(Metrics, WindowedHistogramStats) {
-  WindowedHistogram hist(4);
-  for (const double v : {4.0, 1.0, 3.0, 2.0}) hist.observe(v);
-  EXPECT_EQ(hist.count(), 4u);
-  EXPECT_DOUBLE_EQ(hist.sum(), 10.0);
-  EXPECT_DOUBLE_EQ(hist.min(), 1.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 4.0);
-  EXPECT_DOUBLE_EQ(hist.quantile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(hist.quantile(1.0), 4.0);
-  // The window slides: 4.0 falls out, cumulative min/max remain.
-  hist.observe(0.5);
-  EXPECT_EQ(hist.window_size(), 4u);
-  EXPECT_DOUBLE_EQ(hist.quantile(1.0), 3.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 4.0);
-  EXPECT_THROW((void)hist.quantile(1.5), std::invalid_argument);
-  EXPECT_THROW(WindowedHistogram(0), std::invalid_argument);
-}
-
 TEST(Metrics, RegistrySnapshotIsNameSorted) {
-  MetricsRegistry metrics;
+  obs::ShardRegistry metrics;
   metrics.inc("zeta");
   metrics.inc("alpha", 2);
   metrics.set("gauge.x", 1.5);
   metrics.observe("hist.y", 3.0);
   EXPECT_EQ(metrics.counter("alpha"), 2u);
   EXPECT_EQ(metrics.counter("absent"), 0u);
-  const MetricsSnapshot snap = metrics.snapshot();
+  const obs::RollupSnapshot snap = metrics.snapshot();
   const std::string text = snap.to_string();
   EXPECT_LT(text.find("counter alpha 2"), text.find("counter zeta 1"));
   EXPECT_NE(text.find("gauge gauge.x 1.5"), std::string::npos);
-  EXPECT_NE(text.find("histogram hist.y count=1"), std::string::npos);
+  EXPECT_NE(text.find("sketch hist.y count=1"), std::string::npos);
 }
 
 TEST(Metrics, SetCounterMirrorsAndEraseDrops) {
-  MetricsRegistry metrics;
+  obs::ShardRegistry metrics;
   metrics.set_counter("mirrored", 7);
   metrics.set_counter("mirrored", 9);
   EXPECT_EQ(metrics.counter("mirrored"), 9u);
@@ -157,19 +139,19 @@ TEST(Metrics, SetCounterMirrorsAndEraseDrops) {
 }
 
 TEST(Metrics, TimingMetricsExcludedFromDeterministicView) {
-  // The convention is centralized in MetricsRegistry::is_timing — the
-  // snapshot export and the obs exporters all defer to it.
-  EXPECT_TRUE(MetricsRegistry::is_timing("timing.event_loop_us"));
-  EXPECT_FALSE(MetricsRegistry::is_timing("events.total"));
-  EXPECT_FALSE(MetricsRegistry::is_timing("tim"));
-  MetricsRegistry metrics;
+  // The convention is centralized in obs::is_timing — the snapshot text
+  // form and the obs exporters all defer to it.
+  EXPECT_TRUE(obs::is_timing("timing.event_loop_us"));
+  EXPECT_FALSE(obs::is_timing("events.total"));
+  EXPECT_FALSE(obs::is_timing("tim"));
+  obs::ShardRegistry metrics;
   metrics.inc("events.total");
   metrics.observe("timing.event_loop_us", 123.0);
   metrics.set("timing.last", 9.0);
-  const MetricsSnapshot snap = metrics.snapshot();
-  EXPECT_NE(snap.to_string(true).find(MetricsRegistry::kTimingPrefix),
+  const obs::RollupSnapshot snap = metrics.snapshot();
+  EXPECT_NE(snap.to_string(true).find(obs::kTimingPrefix),
             std::string::npos);
-  EXPECT_EQ(snap.to_string(false).find(MetricsRegistry::kTimingPrefix),
+  EXPECT_EQ(snap.to_string(false).find(obs::kTimingPrefix),
             std::string::npos);
   EXPECT_NE(snap.to_string(false).find("events.total"), std::string::npos);
 }

@@ -16,14 +16,16 @@
 //                  back into obs_query to continue a hierarchy offline)
 //   --prometheus   the merged rollup in Prometheus exposition format
 //   --out          also write the lossless merged snapshot to FILE
-// Exit codes: 0 ok, 1 usage, 2 unreadable/malformed input, 3 a query named
-// a series the rollup does not carry.
+// Exit codes: 0 ok, 1 usage, 2 unreadable/malformed input (including dumps
+// that define the same series differently and so cannot merge), 3 a query
+// named a series the rollup does not carry.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -98,7 +100,14 @@ int main(int argc, char** argv) {
                 << " is not a rollup dump (RollupSnapshot::to_json format)\n";
       return 2;
     }
-    global.merge(shard);
+    try {
+      global.merge(shard);
+    } catch (const std::invalid_argument& error) {
+      std::cerr << "obs_query: " << path
+                << " conflicts with the dumps before it: " << error.what()
+                << "\n";
+      return 2;
+    }
   }
 
   if (!out_path.empty() && !global.write(out_path)) {
@@ -111,7 +120,7 @@ int main(int argc, char** argv) {
   } else if (as_prometheus) {
     std::cout << bmp::obs::to_prometheus(global);
   } else if (quantiles.empty() && tops.empty()) {
-    std::cout << global.to_text();
+    std::cout << global.to_string();
   }
 
   for (const auto& [name, q] : quantiles) {
