@@ -5,12 +5,17 @@
 // multi-port budget, and holding >= 0.85x design throughput through churn.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bmp/fault/injector.hpp"
 #include "bmp/flow/maxflow.hpp"
+#include "bmp/obs/lineage.hpp"
 #include "bmp/obs/rollup.hpp"
+#include "bmp/obs/trace.hpp"
 #include "bmp/runtime/capacity_broker.hpp"
 #include "bmp/runtime/runtime.hpp"
 #include "bmp/runtime/scenario.hpp"
@@ -543,6 +548,172 @@ TEST(RuntimeAcceptance, ThreeChannels500NodesDeterministicAndWithinBudget) {
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, runtime.metrics().snapshot().to_string(false));
   EXPECT_NE(first.find("counter repairs.incremental"), std::string::npos);
+}
+
+// ------------------------------------------------------ cross-commit golden
+
+/// Appends `value` to `out` at full precision, so the digest below moves
+/// whenever any logged double moves in its last bit.
+void put(std::string& out, double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g ", value);
+  out += buf;
+}
+
+void put(std::string& out, std::uint64_t value) {
+  out += std::to_string(value) + " ";
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// Every replay test above compares two runs of one binary, so a change
+/// that moves the output the same way in both runs passes them. This one
+/// pins the digest of one fixed run — metrics, churn/control/stream logs,
+/// trace and lineage — so a refactor that changes any of it fails here.
+/// Three channels with control, SLO, sharded telemetry, lineage and trace
+/// on, through joins, leaves, a renegotiation, a brownout, a crash, a
+/// partition, corruption, a blackout and a planner outage (which defers
+/// channel 2's open). A deliberate behaviour change updates kDigest and
+/// says why in its commit.
+TEST(RuntimeGolden, FixedScenarioDigestIsPinned) {
+  Scenario scenario(10.0, /*seed=*/4242);
+  scenario.source(2000.0)
+      .population({36, 0.7, gen::Dist::kUnif100})
+      .population({24, 0.3, gen::Dist::kLogNormal1})
+      .channel({0.0, 9.0, /*weight=*/2.0, /*fraction=*/0.3})
+      .channel({0.0, -1.0, 1.0, 0.25})
+      .channel({4.5, -1.0, 1.0, 0.2})
+      .flash_crowd({1.5, 8, {0, 0.7, gen::Dist::kUnif100}, 0.5, 2.0})
+      .flash_crowd({4.2, 4, {0, 0.5, gen::Dist::kUnif100}, 0.0, 0.0})
+      .diurnal_churn({5.0, 0.5, 4.0, 0.4, {0, 0.5, gen::Dist::kUnif100}})
+      .renegotiate_every(6.0, 0.9);
+  BrownoutSpec brownout;
+  brownout.time = 2.5;
+  brownout.duration = 3.0;
+  brownout.fraction = 0.1;
+  brownout.capacity_factor = 0.3;
+  scenario.brownout(brownout);
+  ScenarioScript script = scenario.build();
+  fault::FaultPlan plan;
+  plan.crashes.push_back({3.0, 11});
+  fault::PartitionSpec partition;
+  partition.time = 5.0;
+  partition.heal_time = 7.0;
+  partition.group_b = {20, 21, 22, 23};
+  plan.partitions.push_back(partition);
+  plan.corruptions.push_back({2.0, 6.0, /*node=*/5, /*rate=*/0.4});
+  plan.blackouts.push_back({6.0, 8.0, {30, 31}});
+  plan.planner_outages.push_back({4.0, 5.5});
+  fault::Injector::inject(script, plan);
+
+  obs::TraceSink trace;
+  obs::LineageSink lineage;
+  obs::ShardRegistry telemetry;
+  RuntimeConfig config;
+  config.collect_timing = false;
+  config.broker_headroom = 0.05;
+  config.dataplane.execute = true;
+  config.dataplane.execution.chunk_size = 2.0;
+  config.dataplane.execution.receiver_window = 16;
+  config.control.enabled = true;
+  config.control.slo_enabled = true;
+  config.trace = &trace;
+  config.lineage = &lineage;
+  config.telemetry = &telemetry;
+  Runtime rt(config, script.source_bandwidth, script.initial_peers);
+  std::size_t next = 0;
+  for (double t = 0.5; t <= 10.0 + 1e-9; t += 0.5) {
+    while (next < script.events.size() && script.events[next].time <= t) {
+      rt.step(script.events[next++]);
+    }
+    Event marker;
+    marker.type = EventType::kNodeJoin;  // empty: clock only
+    marker.time = t;
+    rt.step(marker);
+    ASSERT_TRUE(rt.validate().empty()) << "t=" << t;
+  }
+  (void)rt.drain(10.5);
+
+  // The scenario exercises what it claims to.
+  const obs::ShardRegistry& m = rt.metrics();
+  EXPECT_EQ(m.counter("fault.crashes_detected"), 1u);
+  // One detection, and it was the real crash: no live peer was evicted.
+  const obs::Sketch* latency = m.sketch("fault.detect_latency");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count(), 1u);
+  EXPECT_GT(m.counter("fault.opens_recovered"), 0u);
+  EXPECT_GT(m.counter("fault.planner_faults"), 0u);
+  EXPECT_GT(m.counter("fault.stale_rebuilds"), 0u);
+  EXPECT_GT(m.counter("replans.join"), 0u);
+  EXPECT_GT(m.counter("repairs.incremental") + m.counter("repairs.full"), 0u);
+  EXPECT_GT(m.counter("broker.renegotiated"), 0u);
+  EXPECT_GT(m.counter("degrade.nodes"), 0u);
+  EXPECT_GT(m.counter("control.samples"), 0u);
+  EXPECT_FALSE(rt.control_log().empty());
+  ASSERT_EQ(rt.stream_log().size(), 3u);
+
+  std::string out = m.snapshot().to_string(false);
+  for (const ChurnReport& r : rt.churn_log()) {
+    put(out, r.time);
+    out += std::to_string(r.channel) + " " + to_string(r.type) + " " +
+           std::to_string(r.departed) + " " + (r.full_replan ? "1 " : "0 ");
+    put(out, r.design_rate);
+    put(out, r.achieved_rate);
+    out += "\n";
+  }
+  for (const ControlReport& r : rt.control_log()) {
+    put(out, r.time);
+    out += std::to_string(r.channel) + " " + std::to_string(r.demotions) +
+           " " + std::to_string(r.restores) + " " +
+           std::to_string(r.reroutes) + " " + std::to_string(r.stragglers) +
+           " " + std::to_string(r.degraded_edges) + " " +
+           (r.replan ? "1 " : "0 ") + (r.full_replan ? "1 " : "0 ");
+    put(out, r.drift);
+    put(out, r.rate_before);
+    put(out, r.rate_after);
+    for (const control::Evidence& ev : r.evidence) {
+      out += std::string(ev.action) + " " + ev.detector + " " +
+             std::to_string(ev.node) + " " + std::to_string(ev.from) + " " +
+             std::to_string(ev.to) + " " + std::to_string(ev.trips) + " ";
+      put(out, ev.window_value);
+      put(out, ev.ewma);
+      put(out, ev.threshold);
+      put(out, ev.estimate);
+      put(out, ev.factor_before);
+      put(out, ev.factor_after);
+      put(out, ev.drift);
+    }
+    out += "\n";
+  }
+  for (const StreamReport& r : rt.stream_log()) {
+    out += std::to_string(r.channel) + " " + std::to_string(r.emitted) + " ";
+    put(out, r.open_time);
+    put(out, r.end_time);
+    put(out, r.delivered_chunks);
+    put(out, r.retransmits);
+    put(out, r.hol_stalls);
+    put(out, r.duplicates);
+    put(out, r.expected_chunks);
+    put(out, r.sustained_ratio);
+    put(out, r.achieved_rate);
+    put(out, r.verified_rate);
+    out += r.rate_within_verified ? "1\n" : "0\n";
+  }
+  out += trace.to_json();
+  out += lineage.to_json();
+
+  constexpr std::uint64_t kDigest = 0x745e64ee69c832bfULL;
+  char actual[24];
+  std::snprintf(actual, sizeof(actual), "0x%016" PRIx64, fnv1a(out));
+  EXPECT_EQ(fnv1a(out), kDigest) << "digest " << actual << " over "
+                                 << out.size() << " bytes";
 }
 
 }  // namespace
