@@ -1,11 +1,13 @@
-// The multi-channel broadcast runtime: an event-driven service loop that
-// hosts many concurrent broadcast channels on one shared node population.
+// The multi-channel broadcast runtime: an event-driven service loop over
+// self-contained Channels (channel.hpp) on one shared node population.
 //
 // Each channel is an engine::Session planned on a *scaled* platform: the
 // CapacityBroker grants the channel a fraction g of every node's bounded
 // multi-port upload budget, and the session plans against {g * b_i}. All
 // sessions share one engine::Planner (sharded plan cache + thread pool), so
-// identical survivor platforms across channels dedupe.
+// identical survivor platforms across channels dedupe. The runtime keeps
+// the population, the broker, the planner and its outage switch, deferred
+// opens and stale-plan rebuilds, the logs and the control-grid barrier.
 //
 // The loop consumes a deterministic timestamped Event stream (see
 // event.hpp, produced by runtime::Scenario):
@@ -25,14 +27,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <memory>
-#include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "bmp/control/controller.hpp"
@@ -42,6 +39,7 @@
 #include "bmp/obs/rollup.hpp"
 #include "bmp/obs/slo.hpp"
 #include "bmp/runtime/capacity_broker.hpp"
+#include "bmp/runtime/channel.hpp"
 #include "bmp/runtime/event.hpp"
 
 namespace bmp::obs {
@@ -178,66 +176,6 @@ struct RuntimeConfig {
   std::string telemetry_node_prefix;
 };
 
-/// One line of the runtime's churn audit trail: how a channel fared at one
-/// population event. `design_rate` is the channel's *post-event* design
-/// rate on its broker-granted capacity — the reference the acceptance bar
-/// (achieved >= 0.85 x design) is measured against.
-struct ChurnReport {
-  double time = 0.0;
-  int channel = -1;
-  EventType type = EventType::kNodeLeave;  ///< kNodeLeave or kNodeJoin
-  int departed = 0;
-  bool full_replan = false;
-  double design_rate = 0.0;
-  double achieved_rate = 0.0;
-};
-
-/// What one channel's chunk stream actually delivered, produced when the
-/// channel closes (or at drain()). The acceptance bar of the execution
-/// mode: `sustained_ratio` — the worst node's delivered chunks against the
-/// time-integral of the channel's design rate since that node joined —
-/// must stay >= 0.85 through churn, with live patches only (no restart).
-struct StreamReport {
-  int channel = -1;
-  double open_time = 0.0;
-  double end_time = 0.0;
-  int emitted = 0;
-  std::uint64_t delivered_chunks = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t hol_stalls = 0;
-  std::uint64_t duplicates = 0;
-  /// Chunks the design rate promised over the channel's life (integral of
-  /// the post-event design rate / chunk_size).
-  double expected_chunks = 0.0;
-  double sustained_ratio = 1.0;
-  /// Min steady-state rate over surviving nodes (dataplane measurement).
-  double achieved_rate = 0.0;
-  /// Highest verified (flow) throughput the channel was ever planned at;
-  /// the data plane can never beat the flow bound: achieved <= verified.
-  double verified_rate = 0.0;
-  bool rate_within_verified = true;
-};
-
-/// One line of the adaptation audit trail: what a channel's controller did
-/// at one sampling boundary (only boundaries with actions are logged).
-struct ControlReport {
-  double time = 0.0;
-  int channel = -1;
-  int demotions = 0;
-  int restores = 0;
-  int reroutes = 0;
-  int stragglers = 0;      ///< straggler count at decision time
-  int degraded_edges = 0;
-  double drift = 0.0;      ///< L1 capacity drift of the directive
-  bool replan = false;     ///< controller escalated past the drift bound
-  bool full_replan = false;///< session actually re-planned (incl. fallback)
-  double rate_before = 0.0;
-  double rate_after = 0.0; ///< flow-verified rate of the adapted overlay
-  /// Causal audit: one record per demotion/restore/clamp/replan in the
-  /// directive — why the controller acted (control::Evidence).
-  std::vector<control::Evidence> evidence;
-};
-
 class Runtime {
  public:
   /// `initial_peers[k]` becomes runtime node id k + 1; id 0 is the source.
@@ -300,85 +238,6 @@ class Runtime {
   [[nodiscard]] std::vector<std::string> validate(double tol = 1e-7) const;
 
  private:
-  struct Node {
-    double bandwidth = 0.0;
-    bool guarded = false;
-    bool alive = true;
-    // Effective-world state (kDegrade events): applied to every channel's
-    // execution, invisible to the planner — the control plane's problem.
-    double capacity_factor = 1.0;
-    bool wan = false;  ///< `profile` overrides the execution-config default
-    dataplane::LinkProfile profile;
-    // ---- fault state (kFault events) ----
-    /// Died by kCrash: already dead in every execution, but the *sessions*
-    /// still plan around it until crash detection synthesizes the leave.
-    bool crashed = false;
-    double crash_time = 0.0;   ///< when the crash landed (detection latency)
-    int partition_group = 0;   ///< != group ⇒ traffic between them is lost
-    bool blackout = false;     ///< telemetry frozen: controller sees cached
-    double corrupt_rate = 0.0; ///< egress payload-corruption probability
-  };
-  struct Channel {
-    Grant grant;
-    std::unique_ptr<engine::Session> session;
-    /// Session slot (sorted instance id) -> runtime node id; slot 0 = source.
-    std::vector<int> node_of_slot;
-    // ---- execution mode ----
-    std::unique_ptr<dataplane::Execution> execution;
-    std::map<int, int> dp_of_node;  ///< runtime node id -> execution node id
-    /// Per execution node: channel design integral at its join (so a late
-    /// joiner is only expected chunks emitted after it arrived).
-    std::map<int, double> expected_at_join;
-    double open_time = 0.0;
-    double design_integral = 0.0;  ///< integral of design rate / chunk_size
-    double max_verified = 0.0;     ///< peak verified rate over the life
-    // ---- control plane ----
-    std::unique_ptr<control::Controller> controller;
-    double control_expected = 0.0;   ///< emission integral since last tick
-    double last_control_time = 0.0;  ///< previous sampling boundary
-    // ---- SLO monitor ----
-    std::unique_ptr<obs::SloMonitor> slo;
-    /// Rolling per-tick snapshots for the windowed sustained SLI: the
-    /// emission promise integral and each node's delivered bytes at the
-    /// last `slo_sustained_window` boundaries.
-    struct SloSnapshot {
-      double expected = 0.0;
-      /// (node id, delivered) rows in ascending id order — built from the
-      /// already-sorted control samples, so the windowed comparison is a
-      /// two-pointer walk with no per-tick tree allocations.
-      std::vector<std::pair<int, double>> delivered;
-    };
-    std::deque<SloSnapshot> slo_history;
-    double slo_expected_total = 0.0;
-    // counter snapshots for delta export into the metrics registry
-    std::uint64_t seen_delivered = 0;
-    std::uint64_t seen_losses = 0;
-    std::uint64_t seen_retransmits = 0;
-    std::uint64_t seen_stalls = 0;
-    std::uint64_t seen_duplicates = 0;
-    // ---- fault tolerance ----
-    /// Crash-silence tracking per runtime node id: the last observed
-    /// activity counter (delivered + adjacent attempts + sent) and how many
-    /// consecutive control windows it stood still.
-    std::map<int, std::uint64_t> silence_activity;
-    std::map<int, int> silent_windows;
-    /// Last telemetry actually observed per node/edge — substituted for
-    /// blacked-out nodes, so a blackout freezes what the controller sees
-    /// (the stale-telemetry guard's input) instead of leaking fresh data.
-    std::map<int, control::NodeSample> last_node_sample;
-    std::map<std::pair<int, int>, control::EdgeSample> last_edge_sample;
-    /// Heavy-hitter delta tracking (telemetry hook): last (lost,
-    /// window_stalls) seen per edge, keyed by packed runtime ids
-    /// (from << 32 | to). Hash map: looked up only, never iterated, so
-    /// the unordered layout cannot leak into the deterministic output.
-    std::unordered_map<std::uint64_t,
-                       std::pair<std::uint64_t, std::uint64_t>>
-        seen_edge_telemetry;
-    /// >= 0: the session wanted a full re-plan but the planner was down; it
-    /// kept serving the incremental repair since this instant. Rebuilt
-    /// through the planner when the outage ends.
-    double plan_stale_since = -1.0;
-  };
   /// A channel open refused by a planner outage, queued for retry.
   struct PendingOpen {
     Event event;
@@ -394,88 +253,33 @@ class Runtime {
   void on_degrade(const Event& event);
   void on_fault(const Event& event);
 
-  /// The per-channel churn machinery of on_node_leave, callable on nodes
-  /// already marked dead: every hosting channel absorbs the departure
-  /// (repair / re-plan), slot maps remap, streams live-patch. `when` stamps
-  /// the reports (event time, or the control boundary that detected a
-  /// crash).
+  /// The churn machinery of on_node_leave, callable on nodes already
+  /// marked dead: every channel absorbs the departure. `when` stamps the
+  /// reports (event time, or the control boundary that detected a crash).
   void apply_departures(const std::set<int>& departed, double when);
-  /// Declares nodes silent past the crash threshold dead and synthesizes
-  /// their departure across all hosting channels at once.
+  /// Declares peers silent past the crash threshold dead (crashed ones
+  /// detected, live ones evicted) and synthesizes their departure across
+  /// all hosting channels at once.
   void detect_crashes(const std::set<int>& candidates, double t);
+  /// Pushes node `rid`'s current state into every channel's stream.
+  void push_node_state(int rid);
   /// Retries channel opens deferred by a planner outage whose backoff
   /// expired (`force` ignores the backoff — the outage just ended).
   void retry_pending_opens(double t, bool force);
   /// Re-plans channels serving a stale overlay once the planner is back.
   void rebuild_stale_channels();
 
-  /// Execution mode: run every live stream up to `t` on the scenario clock
-  /// and accumulate each channel's design-rate integral. With the control
-  /// plane on, the advance stops at every sampling boundary on the global
-  /// interval grid and ticks each channel's controller there.
+  /// Execution mode: run every live stream up to `t` on the scenario clock.
+  /// With the control plane on, the advance stops at every sampling
+  /// boundary on the global interval grid and ticks each channel there.
   void advance_executions(double t);
-  /// One contiguous segment of stream time (no control boundary inside).
-  void advance_streams_to(double t);
-  /// Samples every live channel's telemetry at boundary `t`, runs its
-  /// controller, and applies any resulting directive.
+  /// Ticks every channel at boundary `t`, logs the adaptations and applies
+  /// crash detection across channels.
   void control_tick(double t);
-  void apply_directive(int id, Channel& channel,
-                       const control::Directive& directive, double t);
-  /// Reconciles a channel's execution with its (re)planned session: nodes
-  /// added/removed, pipes spliced to the current overlay, emission paced at
-  /// the verified current rate. Called after every session change.
-  void sync_execution(int id, Channel& channel);
-  /// Telemetry hook: streams per-edge (lost, window_stall) deltas into the
-  /// shard registry's heavy-hitter tables. Called at every control tick
-  /// and at stream finalize (so control-less runs still attribute).
-  void feed_edge_telemetry(Channel& channel,
-                           const dataplane::Execution& exec);
-  /// Exports the execution's counter deltas / latencies into dataplane.*.
-  void export_dataplane_metrics(int id, Channel& channel);
-  /// Lets the stream tail drain, reports, and releases the execution.
-  StreamReport finalize_stream(int id, Channel& channel);
-
-  /// (Re)plans `channel` on the current alive population scaled by its
-  /// granted fraction, and rebuilds the slot -> node mapping.
-  void build_session(int id, Channel& channel);
-  void set_channel_gauges(int id, const Channel& channel);
-  [[nodiscard]] std::string channel_metric(int id, const char* what) const;
-
-  /// Interned hot-path series: the per-event / per-chunk metrics resolve
-  /// to registry handles once and are recorded through an array index
-  /// thereafter. Registered at construction with their subsystem (the
-  /// dataplane ones only in execution mode, and so on); none is ever
-  /// erase()d.
-  struct HotMetrics {
-    obs::ShardRegistry::CounterHandle events_total;
-    obs::ShardRegistry::CounterHandle broker_admitted;
-    obs::ShardRegistry::CounterHandle broker_rejected;
-    obs::ShardRegistry::CounterHandle broker_released;
-    obs::ShardRegistry::GaugeHandle broker_allocated;
-    obs::ShardRegistry::GaugeHandle channels_open;
-    obs::ShardRegistry::GaugeHandle population_alive;
-    /// Per event type, registered on the type's first event.
-    std::optional<obs::ShardRegistry::CounterHandle> events_by_type[8];
-    obs::ShardRegistry::SketchHandle timing_event_loop;
-    obs::ShardRegistry::CounterHandle dp_delivered;
-    obs::ShardRegistry::CounterHandle dp_losses;
-    obs::ShardRegistry::CounterHandle dp_retransmits;
-    obs::ShardRegistry::CounterHandle dp_hol_stalls;
-    obs::ShardRegistry::CounterHandle dp_duplicates;
-    obs::ShardRegistry::SketchHandle dp_chunk_latency;
-    obs::ShardRegistry::CounterHandle control_samples;
-    // Top-K heavy hitters: registered only when config_.telemetry is set.
-    obs::ShardRegistry::TopKHandle node_retransmits;
-    obs::ShardRegistry::TopKHandle node_stalls;
-    obs::ShardRegistry::TopKHandle edge_retransmits;
-    obs::ShardRegistry::TopKHandle node_demotions;
-  };
   /// Registers the fixed-name series of every enabled subsystem and
   /// interns the hot-path handles (constructor helper).
   void register_series();
-  /// One delivered chunk's latency: dataplane.chunk_latency plus the
-  /// channel's SLO window.
-  void observe_chunk_latency(Channel& channel, double latency);
+  [[nodiscard]] const Channel* find(int channel) const;
 
   RuntimeConfig config_;
   /// Planner-failure injection target, wired into the planner's config
@@ -489,6 +293,7 @@ class Runtime {
   obs::ShardRegistry& metrics_;     ///< *config_.telemetry or own_metrics_
   HotMetrics hot_;
   std::vector<Node> nodes_;  // index = runtime node id, 0 = source
+  ChannelHost host_{config_, planner_, metrics_, hot_, nodes_};
   int alive_peers_ = 0;
   std::map<int, Channel> channels_;  // ordered: deterministic event handling
   std::vector<ChurnReport> churn_log_;
@@ -497,10 +302,6 @@ class Runtime {
   std::vector<PendingOpen> pending_opens_;
   double now_ = 0.0;
   double dp_clock_ = 0.0;  ///< time every live execution has reached
-  /// Scratch buffers for the per-tick telemetry sweep
-  /// (feed_edge_telemetry): reused so the steady state allocates nothing.
-  std::vector<dataplane::EdgeStats> edge_stats_scratch_;
-  std::vector<int> rid_of_dp_scratch_;
   /// Sampling boundaries processed so far: boundary k + 1 sits at
   /// (k + 1) * sample_interval on the scenario clock (an integer counter,
   /// so the grid never accumulates floating-point drift).

@@ -542,6 +542,56 @@ TEST(RuntimeFault, ChannelOpenDuringOutageIsRetriedAfterHeal) {
   EXPECT_TRUE(rt.validate().empty());
 }
 
+TEST(RuntimeFault, EvictedLivePeerAbsorbsLaterLeaveAndDegrade) {
+  // Seed 24's storm crashes nobody (it only partitions 44 peers), yet the
+  // silence detector evicts one live peer. The eviction is counted apart
+  // from real crashes, and a later scripted brownout or leave of every
+  // peer, the evicted one included, is absorbed as for a crashed peer.
+  runtime::Scenario scenario(9.0, 77);
+  scenario.source(4000.0)
+      .population({156, 0.7, gen::Dist::kUnif100})
+      .population({44, 0.3, gen::Dist::kLogNormal1})
+      .channel({0.0, -1.0, 1.0, 0.3})
+      .channel({0.0, -1.0, 1.0, 0.25})
+      .channel({0.0, -1.0, 1.0, 0.2});
+  runtime::ScenarioScript script = scenario.build();
+  fault::RandomPlanOptions options;
+  options.num_nodes = 200;
+  options.horizon = 9.0;
+  options.max_crashes = 4;
+  const fault::FaultPlan plan = fault::Injector::random_plan(24, options);
+  ASSERT_TRUE(plan.crashes.empty());
+  fault::Injector::inject(script, plan);
+
+  const auto run = [&](std::size_t planner_threads) {
+    runtime::Runtime rt(chaos_config(true, 4.0, planner_threads),
+                        script.source_bandwidth, script.initial_peers);
+    run_script(rt, script, 9.0);
+    EXPECT_EQ(rt.metrics().counter("fault.crashes_detected"), 0u);
+    EXPECT_EQ(rt.metrics().counter("fault.evictions"), 1u);
+    EXPECT_EQ(rt.alive_peers(), 199);
+    runtime::Event brownout;
+    brownout.type = runtime::EventType::kDegrade;
+    brownout.time = 9.5;
+    runtime::Event leave;
+    leave.type = runtime::EventType::kNodeLeave;
+    leave.time = 10.0;
+    for (int node = 1; node <= 200; ++node) {
+      runtime::Degradation degrade;
+      degrade.node = node;
+      degrade.set_factor = true;
+      degrade.capacity_factor = 0.5;
+      brownout.degrades.push_back(degrade);
+      leave.leaves.push_back(node);
+    }
+    EXPECT_NO_THROW(rt.step(brownout));
+    EXPECT_NO_THROW(rt.step(leave));
+    EXPECT_TRUE(rt.validate().empty());
+    return rt.metrics().snapshot().to_string(false);
+  };
+  EXPECT_EQ(run(1), run(4));
+}
+
 // ------------------------------------------------------- chaos acceptance
 
 runtime::ScenarioScript storm_script(int peers, double horizon,
