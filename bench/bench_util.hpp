@@ -191,8 +191,6 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
 ///   --lineage <path>   per-chunk delivery lineage dump plus the
 ///                      critical-path blame table ("<path>.blame.json";
 ///                      binaries that thread an obs::LineageSink)
-///   --profile-wall     also record wall time per phase (off by default so
-///                      --profile artifacts stay byte-identical per build)
 /// Binaries parse once up front and thread `cli.profiler()` into their
 /// configs; a null return keeps every hook on its disabled branch.
 struct CommonCli {
@@ -211,8 +209,7 @@ struct CommonCli {
         trace(arg_value(argc, argv, "--trace")),
         profile(arg_value(argc, argv, "--profile")),
         metrics(arg_value(argc, argv, "--metrics")),
-        lineage(arg_value(argc, argv, "--lineage")),
-        prof(obs::ProfilerConfig{has_flag(argc, argv, "--profile-wall")}) {}
+        lineage(arg_value(argc, argv, "--lineage")) {}
 
   /// The profiler to thread into configs; null when --profile is absent so
   /// disabled runs pay nothing but the null checks.

@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
       edges = true;
     } else if (arg == "--rate" && a + 1 < argc) {
       rate = std::stod(argv[++a]);
-    } else if (arg == "--quick" || arg == "--profile-wall") {
+    } else if (arg == "--quick") {
       // observability flags, already consumed by CommonCli
     } else if (arg == "--json" || arg == "--trace" || arg == "--profile" ||
                arg == "--metrics") {

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   std::vector<Instance> platforms;
   for (int a = 1; a < argc; ++a) {
     const std::string arg = argv[a];
-    if (arg == "--quick" || arg == "--profile-wall") continue;
+    if (arg == "--quick") continue;
     if (arg == "--json" || arg == "--trace" || arg == "--profile" ||
         arg == "--metrics") {
       ++a;  // flag + value pair, consumed by CommonCli

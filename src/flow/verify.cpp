@@ -274,14 +274,6 @@ VerifyResult Verifier::verify(const BroadcastScheme& scheme) {
                          std::chrono::steady_clock::now() - start)
                          .count();
     stats_.total_us += stats_.last_us;
-    if (options_.profiler != nullptr && options_.profiler->wall_time()) {
-      options_.profiler->add_wall(result.tier == VerifyTier::kAcyclicSweep
-                                      ? "verify/tier1_sweep"
-                                      : result.tier == VerifyTier::kWarmMaxFlow
-                                            ? "verify/tier2_maxflow"
-                                            : "verify/oracle",
-                                  stats_.last_us);
-    }
   }
   if (options_.trace != nullptr) {
     const double wall_us =

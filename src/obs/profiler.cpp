@@ -28,17 +28,7 @@ std::string escaped(std::string_view text) {
   return out;
 }
 
-/// Wall time rendered at fixed precision so the opt-in output is at least
-/// stable in *format* (its values are nondeterministic by nature).
-std::string wall_str(double us) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", us);
-  return buf;
-}
-
 }  // namespace
-
-Profiler::Profiler(ProfilerConfig config) : config_(config) {}
 
 void Profiler::enter(std::string_view phase) {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -58,14 +48,6 @@ void Profiler::count(std::string_view phase, std::string_view counter,
   } else {
     cit->second += delta;
   }
-}
-
-void Profiler::add_wall(std::string_view phase, double us) {
-  if (!config_.wall_time) return;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = phases_.find(phase);
-  if (it == phases_.end()) it = phases_.emplace(std::string(phase), Phase{}).first;
-  it->second.wall_us += us;
 }
 
 bool Profiler::empty() const {
@@ -131,12 +113,6 @@ std::uint64_t Profiler::total_work() const {
   return sum;
 }
 
-double Profiler::wall_us(std::string_view phase) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = phases_.find(phase);
-  return it == phases_.end() ? 0.0 : it->second.wall_us;
-}
-
 namespace {
 
 /// Tree node materialized from the flat path map at export time. Interior
@@ -144,21 +120,16 @@ namespace {
 struct TreeNode {
   std::uint64_t calls = 0;
   std::uint64_t work = 0;
-  double wall_us = 0.0;
   bool recorded = false;
   std::string counters_json;  ///< rendered "{...}" (empty = none)
   std::map<std::string, TreeNode> children;
 };
 
-void render_tree(const TreeNode& node, bool wall, std::string& out,
-                 int depth) {
+void render_tree(const TreeNode& node, std::string& out, int depth) {
   const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
   out += "{\n";
   out += pad + "  \"calls\": " + std::to_string(node.calls) + ",\n";
   out += pad + "  \"work\": " + std::to_string(node.work) + ",\n";
-  if (wall) {
-    out += pad + "  \"wall_us\": " + wall_str(node.wall_us) + ",\n";
-  }
   out += pad + "  \"counters\": " +
          (node.counters_json.empty() ? "{}" : node.counters_json) + ",\n";
   out += pad + "  \"children\": {";
@@ -167,7 +138,7 @@ void render_tree(const TreeNode& node, bool wall, std::string& out,
     out += first ? "\n" : ",\n";
     first = false;
     out += pad + "    \"" + escaped(name) + "\": ";
-    render_tree(child, wall, out, depth + 2);
+    render_tree(child, out, depth + 2);
   }
   if (!first) out += "\n" + pad + "  ";
   out += "}\n" + pad + "}";
@@ -207,18 +178,15 @@ std::string Profiler::to_json() const {
     node->recorded = true;
     node->calls = phase.calls;
     node->work = work_of(phase);
-    node->wall_us = phase.wall_us;
     node->counters_json = render_counters(phase.counters);
   }
-  std::string out = "{\n  \"schema\": 1,\n  \"wall_time\": ";
-  out += config_.wall_time ? "true" : "false";
-  out += ",\n  \"phases\": {";
+  std::string out = "{\n  \"schema\": 1,\n  \"phases\": {";
   bool first = true;
   for (const auto& [name, child] : root.children) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"" + escaped(name) + "\": ";
-    render_tree(child, config_.wall_time, out, 2);
+    render_tree(child, out, 2);
   }
   if (!first) out += "\n  ";
   out += "}\n}\n";
@@ -258,14 +226,9 @@ std::string Profiler::summary_json() const {
 
 std::string Profiler::attribution_table(std::size_t top_n) const {
   std::vector<std::pair<std::string, Phase>> ranked;
-  double total_wall = 0.0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    ranked.reserve(phases_.size());
-    for (const auto& [path, phase] : phases_) {
-      ranked.emplace_back(path, phase);
-      total_wall += phase.wall_us;
-    }
+    ranked.assign(phases_.begin(), phases_.end());
   }
   std::uint64_t total = 0;
   for (const auto& [path, phase] : ranked) {
@@ -299,16 +262,6 @@ std::string Profiler::attribution_table(std::size_t top_n) const {
     std::snprintf(head, sizeof(head), "%5.1f%%  ", share);
     os << "  " << head << path << std::string(width - path.size(), ' ')
        << "  calls=" << phase.calls << " work=" << w;
-    if (config_.wall_time) {
-      char wall[48];
-      std::snprintf(wall, sizeof(wall), " wall=%.2fms", phase.wall_us / 1e3);
-      os << wall;
-      if (total_wall > 0.0) {
-        std::snprintf(wall, sizeof(wall), " (%.1f%%)",
-                      100.0 * phase.wall_us / total_wall);
-        os << wall;
-      }
-    }
     // The phase's dominant counter, so the table names the work unit.
     const std::map<std::string, std::uint64_t>& counters = phase.counters;
     if (!counters.empty()) {

@@ -9,10 +9,9 @@
 // exports walk a sorted map — so the JSON report and the collapsed-stack
 // text are byte-identical across runs *and across planner thread counts*.
 //
-// Wall-clock time is opt-in (`ProfilerConfig::wall_time`), mirroring the
-// `timing.*` metrics and `TraceConfig::wall_durations` conventions: wall
-// measurements deliberately break byte-identity and never appear in the
-// deterministic exports unless opted in.
+// The profiler records exact work counters only. Wall-clock time lives in
+// the `timing.*` metrics and `TraceConfig::wall_durations`, which break
+// byte-identity by design; the profiler's exports never do.
 //
 // Hook convention (PR 6): call sites hold a raw null-by-default
 // `obs::Profiler*` and pay exactly one branch when profiling is off. Sites
@@ -27,7 +26,6 @@
 //   * attribution_table()  human top-N table for `--profile` binaries
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -36,17 +34,9 @@
 
 namespace bmp::obs {
 
-struct ProfilerConfig {
-  /// Accumulate wall-clock microseconds per phase (PhaseScope / add_wall).
-  /// Off by default: wall time is nondeterministic, and the determinism
-  /// tests assert byte-identical reports without it.
-  bool wall_time = false;
-};
-
 class Profiler {
  public:
-  explicit Profiler(ProfilerConfig config = {});
-
+  Profiler() = default;
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
@@ -57,11 +47,7 @@ class Profiler {
   /// commutative, so concurrent sites aggregate deterministically.
   void count(std::string_view phase, std::string_view counter,
              std::uint64_t delta = 1);
-  /// Accumulates wall microseconds into `phase`; dropped (one branch)
-  /// unless the profiler opted into wall_time.
-  void add_wall(std::string_view phase, double us);
 
-  [[nodiscard]] bool wall_time() const { return config_.wall_time; }
   [[nodiscard]] bool empty() const;
   [[nodiscard]] std::size_t phase_count() const;
   [[nodiscard]] std::uint64_t calls(std::string_view phase) const;
@@ -73,19 +59,16 @@ class Profiler {
   /// count when it has no counters — the weight the exports rank by.
   [[nodiscard]] std::uint64_t work(std::string_view phase) const;
   [[nodiscard]] std::uint64_t total_work() const;
-  /// Accumulated wall microseconds (0 unless wall_time).
-  [[nodiscard]] double wall_us(std::string_view phase) const;
 
   /// Nested phase tree as JSON (sorted by path segment — deterministic).
-  /// Wall fields appear only when wall_time is on.
   [[nodiscard]] std::string to_json() const;
   /// pprof-style collapsed stacks: one line per recorded phase,
   /// "seg1;seg2;seg3 <work>", sorted by path. Feed to flamegraph.pl or
   /// paste into speedscope.
   [[nodiscard]] std::string to_collapsed() const;
   /// Flat {"phases":{path:{calls,work,counters}},"total_work":N} object for
-  /// embedding in BENCH_*.json; wall time is never included, so committed
-  /// baselines gate on it exactly across machines.
+  /// embedding in BENCH_*.json; committed baselines gate on it exactly
+  /// across machines.
   [[nodiscard]] std::string summary_json() const;
   /// Human attribution table: top `top_n` phases by work share.
   [[nodiscard]] std::string attribution_table(std::size_t top_n = 12) const;
@@ -98,50 +81,26 @@ class Profiler {
  private:
   struct Phase {
     std::uint64_t calls = 0;
-    double wall_us = 0.0;
     std::map<std::string, std::uint64_t> counters;
   };
 
   [[nodiscard]] static std::uint64_t work_of(const Phase& phase);
 
-  ProfilerConfig config_;
   mutable std::mutex mutex_;
   /// Keyed by '/'-separated phase path; ordered so every export walk is
   /// independent of insertion (and therefore scheduling) order.
   std::map<std::string, Phase, std::less<>> phases_;
 };
 
-/// RAII phase scope, null-safe: `PhaseScope scope(profiler, "a/b")` counts
-/// one call on construction and, iff the profiler collects wall time, adds
-/// the scope's wall microseconds on destruction. With a null profiler the
-/// whole object is two branches.
+/// Phase scope, null-safe: `PhaseScope scope(profiler, "a/b")` counts one
+/// call into the phase; with a null profiler it is one branch.
 class PhaseScope {
  public:
-  PhaseScope(Profiler* profiler, const char* phase)
-      : profiler_(profiler), phase_(phase) {
-    if (profiler_ == nullptr) return;
-    profiler_->enter(phase_);
-    if (profiler_->wall_time()) {
-      timed_ = true;
-      start_ = std::chrono::steady_clock::now();
-    }
+  PhaseScope(Profiler* profiler, const char* phase) {
+    if (profiler != nullptr) profiler->enter(phase);
   }
-  ~PhaseScope() {
-    if (!timed_) return;
-    profiler_->add_wall(
-        phase_, std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count());
-  }
-
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  Profiler* profiler_;
-  const char* phase_;
-  std::chrono::steady_clock::time_point start_;
-  bool timed_ = false;
 };
 
 /// Scoped counter, null-safe: increments accumulate lock-free in the scope

@@ -280,9 +280,6 @@ void Runtime::step(const Event& event) {
              std::chrono::steady_clock::now() - start)
              .count();
     metrics_.observe(hot_.timing_event_loop, us);
-    if (config_.profiler != nullptr && config_.profiler->wall_time()) {
-      config_.profiler->add_wall("runtime/step", us);
-    }
   }
   if (config_.trace != nullptr) {
     config_.trace->complete(

@@ -152,9 +152,8 @@ struct RuntimeConfig {
   /// Performance attribution (null = off): the runtime threads this
   /// profiler into its planner, every session verifier and every chunk
   /// stream, and records its own loop phases (runtime/step, session
-  /// churn/adapt, broker rebalance, control decide). Counters are
-  /// deterministic; wall time only when the profiler opted in. Non-owning;
-  /// must outlive the runtime.
+  /// churn/adapt, broker rebalance, control decide) as deterministic work
+  /// counters. Non-owning; must outlive the runtime.
   obs::Profiler* profiler = nullptr;
   /// Chunk lineage (null = off): every execution records one hop per
   /// delivered chunk into this sink — the critical-path analyzer's input

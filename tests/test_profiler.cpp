@@ -1,7 +1,6 @@
 // Profiler determinism tests — the acceptance surface of the performance
 // attribution subsystem (obs/profiler.hpp):
-//   * unit: phase aggregation is order-independent, null hooks are free,
-//     wall time stays out of the deterministic exports;
+//   * unit: phase aggregation is order-independent, null hooks are free;
 //   * byte-identity: the full five-layer closed loop (the 500-node control
 //     acceptance scenario) produces byte-identical to_json/to_collapsed/
 //     summary_json across repeated runs AND across planner thread counts;
@@ -76,25 +75,6 @@ TEST(Profiler, NullHooksAreSafeAndFree) {
   EXPECT_TRUE(profiler.empty());
   EXPECT_EQ(profiler.phase_count(), 0u);
   EXPECT_EQ(profiler.total_work(), 0u);
-}
-
-TEST(Profiler, WallTimeNeverLeaksIntoDeterministicExports) {
-  obs::Profiler walled(obs::ProfilerConfig{/*wall_time=*/true});
-  ASSERT_TRUE(walled.wall_time());
-  walled.add_wall("plan/compute", 123.5);
-  walled.enter("plan/compute");
-  EXPECT_GT(walled.wall_us("plan/compute"), 0.0);
-  // to_json carries per-phase wall fields only for a wall-enabled
-  // profiler (the header always states the wall_time config)...
-  EXPECT_NE(walled.to_json().find("wall_us"), std::string::npos);
-  // ...and the flat summary (what BENCH_*.json embeds and the perf gate
-  // diffs exactly) never does.
-  EXPECT_EQ(walled.summary_json().find("wall"), std::string::npos);
-
-  obs::Profiler cold;  // default: wall time dropped at the hook
-  cold.add_wall("plan/compute", 123.5);
-  EXPECT_DOUBLE_EQ(cold.wall_us("plan/compute"), 0.0);
-  EXPECT_EQ(cold.to_json().find("wall_us"), std::string::npos);
 }
 
 // --------------------------------------- closed-loop byte-identity proofs
