@@ -110,7 +110,7 @@ void Channel::rebuild() {
   // — the instance's caller-side numbering the slot map is derived from.
   std::vector<double> open_bw;
   std::vector<double> guarded_bw;
-  std::vector<int> open_ids{0};  // caller id 0 is the source
+  std::vector<int> caller_ids{0};  // the source, the opens, then guardeds
   std::vector<int> guarded_ids;
   const std::vector<Node>& nodes = host_.nodes;
   for (int node = 1; node < static_cast<int>(nodes.size()); ++node) {
@@ -118,7 +118,7 @@ void Channel::rebuild() {
     if (!info.alive()) continue;
     (info.guarded ? guarded_bw : open_bw)
         .push_back(info.bandwidth * grant_.fraction);
-    (info.guarded ? guarded_ids : open_ids).push_back(node);
+    (info.guarded ? guarded_ids : caller_ids).push_back(node);
   }
   Instance scaled(nodes[0].bandwidth * grant_.fraction, std::move(open_bw),
                   std::move(guarded_bw));
@@ -135,8 +135,8 @@ void Channel::rebuild() {
                           ? "verify.tier_sweep"
                           : "verify.tier_maxflow");
   }
-  open_ids.insert(open_ids.end(), guarded_ids.begin(), guarded_ids.end());
-  remap_slots(open_ids);
+  caller_ids.insert(caller_ids.end(), guarded_ids.begin(), guarded_ids.end());
+  remap_slots(caller_ids);
   if (obs::Profiler* prof = host_.config.profiler) {
     prof->enter("runtime/session/build");
     prof->count("runtime/session/build", "nodes",

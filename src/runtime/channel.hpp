@@ -157,7 +157,6 @@ class Channel {
   /// overlay itself comes from the first rebuild().
   Channel(const ChannelHost& host, int id, const Grant& grant, double now);
 
-  [[nodiscard]] const Grant& grant() const { return grant_; }
   [[nodiscard]] const engine::Session& session() const { return *session_; }
   /// nullptr unless execution mode is on (and not yet finalized).
   [[nodiscard]] const dataplane::Execution* execution() const {

@@ -411,8 +411,8 @@ void Runtime::on_node_join(const Event& event) {
       continue;
     }
     metrics_.inc("replans.join");
-    churn_log_.push_back({now_, id, EventType::kNodeJoin, 0, true,
-                          channel.session().design_rate(),
+    churn_log_.push_back({now_, id, EventType::kNodeJoin, /*departed=*/0,
+                          /*full_replan=*/true, channel.session().design_rate(),
                           channel.session().current_rate()});
     if (config_.recorder != nullptr) {
       config_.recorder->record(now_, id, "churn",
