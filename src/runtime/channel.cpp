@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <tuple>
 
 #include "bmp/obs/flight_recorder.hpp"
 #include "bmp/obs/profiler.hpp"

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <unordered_set>
 
