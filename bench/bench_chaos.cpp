@@ -10,7 +10,7 @@
 //     survivor's window rate first holds 70% of that optimum;
 //   * the tolerance ledger (crashes detected, corruption caught, dark
 //     windows skipped) and the wall-clock cost of the hardened loop.
-// `--quick` (or BMP_CHAOS_QUICK=1) shrinks the platform for CI smoke.
+// `--quick` shrinks the platform for CI smoke.
 // Observability CLI (benchutil::CommonCli): `--json` machine-readable
 // report with the final metrics snapshot embedded, `--trace` timeline,
 // `--profile` work attribution, `--metrics` Prometheus snapshot — all on
@@ -277,8 +277,7 @@ ChaosResult run_storm(const bmp::runtime::ScenarioScript& script,
 
 int main(int argc, char** argv) {
   bmp::benchutil::CommonCli cli(argc, argv);
-  const bool quick =
-      cli.quick || bmp::benchutil::env_int("BMP_CHAOS_QUICK", 0) != 0;
+  const bool quick = cli.quick;
   const int peers =
       bmp::benchutil::env_int("BMP_CHAOS_PEERS", quick ? 150 : 500);
   const double horizon = quick ? 14.0 : 24.0;

@@ -7,7 +7,7 @@
 //     converged window / optimum of the effective platform;
 //   * detection-to-action latency and the controller's action ledger;
 //   * wall-clock cost of running the loop (events/s with control on).
-// `--quick` (or BMP_CONTROL_QUICK=1) shrinks the platform for CI smoke.
+// `--quick` shrinks the platform for CI smoke.
 // Observability CLI (benchutil::CommonCli): `--json` machine-readable
 // report with the final metrics snapshot embedded, `--trace` timeline,
 // `--profile` work attribution, `--metrics` Prometheus snapshot — all on
@@ -138,8 +138,7 @@ LoopResult run_loop(const bmp::runtime::ScenarioScript& script, bool adaptive,
 
 int main(int argc, char** argv) {
   bmp::benchutil::CommonCli cli(argc, argv);
-  const bool quick =
-      cli.quick || bmp::benchutil::env_int("BMP_CONTROL_QUICK", 0) != 0;
+  const bool quick = cli.quick;
   const int peers =
       bmp::benchutil::env_int("BMP_CONTROL_PEERS", quick ? 150 : 500);
   const double horizon = quick ? 14.0 : 24.0;

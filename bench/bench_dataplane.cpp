@@ -8,7 +8,7 @@
 //   * churn: the bench_runtime scenario with execution mode on — every
 //     channel's stream must sustain >= 0.85x its design-rate integral with
 //     live-patched repairs only, and replay deterministically.
-// `--quick` (or BMP_DATAPLANE_QUICK=1) shrinks everything for CI smoke.
+// `--quick` shrinks everything for CI smoke.
 // `--json <path>` writes the machine-readable report (git SHA stamped).
 #include <algorithm>
 #include <chrono>
@@ -59,8 +59,7 @@ bmp::runtime::ScenarioScript churn_script(int peers, double horizon,
 
 int main(int argc, char** argv) {
   bmp::benchutil::CommonCli cli(argc, argv);
-  const bool quick =
-      cli.quick || bmp::benchutil::env_int("BMP_DATAPLANE_QUICK", 0) != 0;
+  const bool quick = cli.quick;
   const std::string& json_path = cli.json;
   const std::string& trace_path = cli.trace;
   const int peers =

@@ -13,7 +13,7 @@
 //   * identity: the rolled-up global snapshot is byte-identical across
 //     shard merge orders, tree shapes, repeat runs, and planner thread
 //     counts — the determinism contract the offline obs_query relies on.
-// `--quick` (or BMP_OBS_QUICK=1) shrinks the fleet for CI smoke.
+// `--quick` shrinks the fleet for CI smoke.
 // `--json <path>` writes the machine-readable report (git SHA stamped).
 #include <algorithm>
 #include <chrono>
@@ -134,8 +134,7 @@ double run_shard(const bmp::runtime::ScenarioScript& script, double chunk,
 
 int main(int argc, char** argv) {
   bmp::benchutil::CommonCli cli(argc, argv);
-  const bool quick =
-      cli.quick || bmp::benchutil::env_int("BMP_OBS_QUICK", 0) != 0;
+  const bool quick = cli.quick;
   const int shards =
       bmp::benchutil::env_int("BMP_OBS_SHARDS", quick ? 20 : 25);
   const int peers =

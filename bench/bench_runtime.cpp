@@ -6,7 +6,7 @@
 //     must achieve >= 0.85x its broker-granted design rate;
 //   * the shared-capacity invariant: no node oversubscribed, ever;
 //   * replay determinism: identical seed => identical metrics snapshot.
-// `--quick` (or BMP_RUNTIME_QUICK=1) shrinks the scenario for CI smoke.
+// `--quick` shrinks the scenario for CI smoke.
 // Observability CLI (benchutil::CommonCli): --json / --trace / --profile /
 // --metrics, all attributing the measured (first) run.
 #include <chrono>
@@ -55,8 +55,7 @@ double run_once(const bmp::runtime::ScenarioScript& script,
 
 int main(int argc, char** argv) {
   bmp::benchutil::CommonCli cli(argc, argv);
-  const bool quick =
-      cli.quick || bmp::benchutil::env_int("BMP_RUNTIME_QUICK", 0) != 0;
+  const bool quick = cli.quick;
   const std::string& json_path = cli.json;
   const std::string& trace_path = cli.trace;
   const int peers =

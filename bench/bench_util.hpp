@@ -25,7 +25,7 @@ namespace bmp::benchutil {
 /// the intersection).
 inline constexpr int kBenchSchema = 2;
 
-/// Integer env override with default (e.g. BMP_FIG19_REPS).
+/// Integer env override with default (e.g. BMP_ENGINE_REQUESTS).
 inline int env_int(const char* name, int fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;

@@ -56,8 +56,7 @@ double time_reps(int reps, Fn&& fn) {
 
 int main(int argc, char** argv) {
   bmp::benchutil::CommonCli cli(argc, argv);
-  const bool quick =
-      cli.quick || bmp::benchutil::env_int("BMP_VERIFY_QUICK", 0) != 0;
+  const bool quick = cli.quick;
   const std::string& json_path = cli.json;
   const int acyclic_peers =
       bmp::benchutil::env_int("BMP_VERIFY_PEERS", quick ? 500 : 2000);

@@ -3,7 +3,7 @@
 // SplitStream (k interior-disjoint stripe trees, reference [7]) and an
 // unstructured random mesh (gossip-style, reference [5]). All respect the
 // firewall constraint (guarded nodes never feed guarded nodes) and the
-// bounded multi-port bandwidth caps; bench_baselines compares their
+// bounded multi-port bandwidth caps; `bench_paper baselines` compares their
 // throughput and degrees against the paper's algorithms.
 #pragma once
 

@@ -13,7 +13,7 @@
 //   (c) one guarded node is left and it is smaller than the next open node
 //       (the "delay the last guarded node" rule, lines 8-11).
 // Each rule can be disabled through GreedyPolicy for the ablation study
-// (bench_ablation_greedy), which shows both (b) and (c) are needed for
+// (`bench_paper ablation_greedy`), which shows both (b) and (c) are needed for
 // exactness.
 #pragma once
 

@@ -9,7 +9,7 @@
 // the preconditions of Massoulié's optimality theorem (edge bandwidths
 // without node contention), so random useful forwarding on the overlay
 // achieves rates arbitrarily close to the overlay throughput T. This
-// simulator demonstrates that end to end (bench_simulation / examples).
+// simulator demonstrates that end to end (`bench_paper simulation`, examples).
 #pragma once
 
 #include <cstdint>
