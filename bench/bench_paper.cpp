@@ -7,7 +7,6 @@
 // "bench/<name>" phase per experiment; BMP_RESULTS_DIR=<dir> writes CSVs.
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <iostream>
@@ -570,14 +569,10 @@ bool run_np_gadget(obs::Profiler*) {
   };
 
   Table t({"case", "items", "well-formed", "3-partition", "scheme throughput",
-           "degree = ceil(b/T) everywhere", "solve time"});
+           "degree = ceil(b/T) everywhere"});
   bool ok = true;
   for (const auto& [label, tp] : cases) {
-    const auto start = std::chrono::steady_clock::now();
     const auto triples = theory::solve_three_partition(tp);
-    const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
     std::string throughput = "-";
     std::string degree_ok = "-";
     if (triples.has_value()) {
@@ -594,8 +589,7 @@ bool run_np_gadget(obs::Profiler*) {
     }
     t.add_row({label, Table::num(static_cast<int>(tp.items.size())),
                tp.well_formed() ? "yes" : "no",
-               triples.has_value() ? "found" : "none", throughput, degree_ok,
-               std::to_string(micros) + "us"});
+               triples.has_value() ? "found" : "none", throughput, degree_ok});
   }
   t.print(std::cout);
 

@@ -2,8 +2,8 @@
 // verifier (flow/verify.hpp):
 //   * tier 1: scheme_throughput on a large acyclic overlay (the word
 //     schedule's output) vs the Dinic-per-sink oracle — must be >= 10x;
-//   * tier 2: warm, limit-bounded sink sweep on a cyclic overlay vs the
-//     same oracle, serial and ThreadPool-parallel;
+//   * tier 2: one Hao–Orlin rooted min cut on a cyclic overlay vs the
+//     same oracle;
 //   * node-caps probe: minimal_uniform_download_cap's 50-probe bisection
 //     through the reusable split graph.
 // `--quick` shrinks sizes for CI smoke; `--json <path>` writes the numbers
@@ -22,7 +22,6 @@
 #include "bmp/flow/verify.hpp"
 #include "bmp/util/rng.hpp"
 #include "bmp/util/table.hpp"
-#include "bmp/util/thread_pool.hpp"
 #include "bench_util.hpp"
 
 namespace {
@@ -105,7 +104,7 @@ int main(int argc, char** argv) {
   const bool acyclic_fast = acyclic_speedup >= 10.0;
   ok = ok && acyclic_exact && acyclic_fast;
 
-  // --------------------------------------------- tier 2: warm Dinic sweep
+  // ------------------------------------------- tier 2: rooted min cut
   std::vector<double> open_bw(static_cast<std::size_t>(cyclic_peers));
   for (auto& b : open_bw) b = rng.uniform(1.0, 10.0);
   const bmp::Instance open_only(rng.uniform(5.0, 10.0), std::move(open_bw), {});
@@ -116,72 +115,28 @@ int main(int argc, char** argv) {
   const double cyclic_oracle_s = time_reps(1, [&] {
     (void)bmp::flow::scheme_throughput_oracle(cyclic);
   });
-  // Strictly serial reference: the parallel auto-pool default is measured
-  // separately below, so the serial baseline stays a baseline.
-  bmp::flow::VerifyOptions serial_options;
-  serial_options.auto_pool = false;
-  serial_options.profiler = cli.profiler();
-  bmp::flow::Verifier serial_verifier(serial_options);
-  const double warm_s = time_reps(quick ? 5 : 10, [&] {
-    (void)serial_verifier.verify(cyclic);
+  bmp::flow::VerifyOptions cyclic_options;
+  cyclic_options.profiler = cli.profiler();
+  bmp::flow::Verifier cyclic_verifier(cyclic_options);
+  const double cut_s = time_reps(quick ? 5 : 10, [&] {
+    (void)cyclic_verifier.verify(cyclic);
   });
-  const bmp::flow::VerifyResult cyclic_result = serial_verifier.verify(cyclic);
-  const double cyclic_speedup = cyclic_oracle_s / warm_s;
+  const bmp::flow::VerifyResult cyclic_result = cyclic_verifier.verify(cyclic);
+  const double cyclic_speedup = cyclic_oracle_s / cut_s;
   table.add_row({cyclic.is_acyclic() ? "cyclic (degenerated: acyclic)"
-                                     : "cyclic tier-2 warm sweep",
+                                     : "cyclic tier-2 rooted min cut",
                  bmp::util::Table::num(cyclic_oracle_s * 1e3, 2),
-                 bmp::util::Table::num(warm_s * 1e3, 2),
+                 bmp::util::Table::num(cut_s * 1e3, 2),
                  bmp::util::Table::num(cyclic_speedup, 1),
                  bmp::util::Table::num(cyclic_result.throughput, 4)});
   json.add("cyclic_oracle_ms", cyclic_oracle_s * 1e3);
-  json.add("cyclic_warm_ms", warm_s * 1e3);
+  json.add("cyclic_tier2_ms", cut_s * 1e3);
   json.add("cyclic_speedup", cyclic_speedup);
-
-  // The shipping default: auto_pool sweeps on the shared verify pool when
-  // the host has more than one core. Same throughput; no profiler on this
-  // row — whether the chunked sweep engages depends on the host's core
-  // count, and the embedded profile must stay machine-independent so the
-  // perf gate can diff it exactly against the committed baseline.
-  bmp::flow::Verifier default_verifier{bmp::flow::VerifyOptions{}};
-  const double default_s = time_reps(quick ? 5 : 10, [&] {
-    (void)default_verifier.verify(cyclic);
-  });
-  table.add_row({"cyclic tier-2 default (auto pool)",
-                 bmp::util::Table::num(cyclic_oracle_s * 1e3, 2),
-                 bmp::util::Table::num(default_s * 1e3, 2),
-                 bmp::util::Table::num(cyclic_oracle_s / default_s, 1),
-                 bmp::util::Table::num(
-                     default_verifier.verify(cyclic).throughput, 4)});
-  json.add("cyclic_default_ms", default_s * 1e3);
-
-  // Explicit 2-thread pool (not hardware-sized): the chunked sweep then
-  // engages on any host, and with the fixed chunk split its work counters
-  // are byte-identical across machines — baseline-gateable.
-  bmp::util::ThreadPool pool(2);
-  bmp::flow::VerifyOptions parallel_options;
-  parallel_options.pool = &pool;
-  parallel_options.parallel_min_sinks = 64;
-  parallel_options.profiler = cli.profiler();
-  bmp::flow::Verifier parallel_verifier(parallel_options);
-  const double parallel_s = time_reps(quick ? 5 : 10, [&] {
-    (void)parallel_verifier.verify(cyclic);
-  });
-  table.add_row({"cyclic tier-2 parallel sweep",
-                 bmp::util::Table::num(cyclic_oracle_s * 1e3, 2),
-                 bmp::util::Table::num(parallel_s * 1e3, 2),
-                 bmp::util::Table::num(cyclic_oracle_s / parallel_s, 1),
-                 bmp::util::Table::num(
-                     parallel_verifier.verify(cyclic).throughput, 4)});
-  json.add("cyclic_parallel_ms", parallel_s * 1e3);
-  json.add("pool_threads", static_cast<std::uint64_t>(pool.size()));
 
   const double cyclic_oracle_value = bmp::flow::scheme_throughput_oracle(cyclic);
   const bool cyclic_exact =
       std::abs(cyclic_result.throughput - cyclic_oracle_value) <=
-          1e-9 * std::max(1.0, cyclic_oracle_value) &&
-      std::abs(parallel_verifier.verify(cyclic).throughput -
-               cyclic_oracle_value) <=
-          1e-9 * std::max(1.0, cyclic_oracle_value);
+      1e-9 * std::max(1.0, cyclic_oracle_value);
   ok = ok && cyclic_exact;
 
   // --------------------------------------- node-caps probe (50-probe bisect)
@@ -205,7 +160,7 @@ int main(int argc, char** argv) {
   std::cout << (acyclic_fast ? "[OK] " : "[WARN] ") << "tier-1 speedup "
             << bmp::util::Table::num(acyclic_speedup, 0) << "x (bar: 10x)\n";
   std::cout << (cyclic_exact ? "[OK] " : "[WARN] ")
-            << "tier-2 serial and parallel sweeps match the oracle\n";
+            << "tier-2 rooted min cut matches the oracle within 1e-9\n";
 
   if (!json_path.empty()) {
     json.add_string("status", ok ? "ok" : "warn");

@@ -18,6 +18,9 @@ void BroadcastScheme::add(int from, int to, double delta) {
     throw std::out_of_range("BroadcastScheme::add: node id out of range");
   }
   if (from == to) throw std::invalid_argument("BroadcastScheme::add: self loop");
+  if (!std::isfinite(delta)) {
+    throw std::invalid_argument("BroadcastScheme::add: non-finite rate");
+  }
   auto& edges = out_[static_cast<std::size_t>(from)];
   auto it = edges.find(to);
   const double old = it == edges.end() ? 0.0 : it->second;

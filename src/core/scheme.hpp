@@ -23,8 +23,8 @@ class BroadcastScheme {
   /// Adds `delta` (may be negative, for the cyclic rerouting steps) to edge
   /// (from,to). Rates that land within a *relative* kZeroTol of zero
   /// (relative to |old| + |delta|) are removed so floating-point residue
-  /// never inflates degrees; driving a rate significantly below zero
-  /// throws. Tolerances are scale-free.
+  /// never inflates degrees; driving a rate significantly below zero, or a
+  /// non-finite delta, throws. Tolerances are scale-free.
   void add(int from, int to, double delta);
 
   /// Current rate of edge (from,to); 0 if absent.

@@ -155,8 +155,10 @@ PlanResponse Planner::plan_verified(const Instance& instance,
         config_.profiler->count(
             "planner/compute/verify", "solves",
             static_cast<std::uint64_t>(verified.maxflow_solves));
-        config_.profiler->count("planner/compute/verify", "bfs_rounds",
-                                verified.bfs_rounds);
+        config_.profiler->count("planner/compute/verify", "pushes",
+                                verified.pushes);
+        config_.profiler->count("planner/compute/verify", "relabels",
+                                verified.relabels);
       }
     }
   }

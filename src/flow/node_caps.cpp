@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "bmp/flow/verify.hpp"
-
 namespace bmp::flow {
 
 std::vector<std::string> validate_download_caps(
@@ -30,21 +28,17 @@ std::vector<std::string> validate_download_caps(
 DownloadCapProbe::DownloadCapProbe(const BroadcastScheme& scheme)
     : num_nodes_(scheme.num_nodes()) {
   const int N = num_nodes_;
-  // Split every node v into v_in (= v) and v_out (= v + N); scheme edges
-  // run u_out -> v_in; the internal edge v_in -> v_out carries the cap.
-  // The source's internal edge must not bind: total_rate upper-bounds any
-  // flow, and stays on the scheme's own scale (an "infinite" sentinel
-  // would wreck the solver's relative tolerances).
+  // Caps clamp to total_rate + 1, which no flow can exceed: an "infinite"
+  // sentinel would wreck the solver's relative tolerances.
   unbounded_ = scheme.total_rate() + 1.0;
-  graph_.assign(2 * N);
-  cap_edge_.assign(static_cast<std::size_t>(N), -1);
-  cap_.assign(static_cast<std::size_t>(N), unbounded_);
-  inflow_.assign(static_cast<std::size_t>(N), 0.0);
+  const auto out = [N](int v) { return v == 0 ? 0 : v + N - 1; };
+  graph_.assign(2 * N - 1);
+  // Cap edges first, so node v's is edge 2 * (v - 1).
+  for (int v = 1; v < N; ++v) graph_.add_edge(v, out(v), unbounded_);
   for (int v = 0; v < N; ++v) {
-    cap_edge_[static_cast<std::size_t>(v)] = graph_.add_edge(v, v + N, unbounded_);
     for (const auto& [to, rate] : scheme.out_edges(v)) {
-      graph_.add_edge(v + N, to, rate);
-      inflow_[static_cast<std::size_t>(to)] += rate;
+      // An edge into the source never crosses a cut rooted there.
+      if (to != 0) graph_.add_edge(out(v), to, rate);
     }
   }
 }
@@ -54,42 +48,22 @@ void DownloadCapProbe::set_caps(const std::vector<double>& download_cap) {
     throw std::invalid_argument("DownloadCapProbe: size mismatch");
   }
   for (int v = 1; v < num_nodes_; ++v) {
-    const double cap =
-        std::min(download_cap[static_cast<std::size_t>(v)], unbounded_);
-    cap_[static_cast<std::size_t>(v)] = cap;
-    graph_.set_capacity(cap_edge_[static_cast<std::size_t>(v)], cap);
+    graph_.set_capacity(
+        2 * (v - 1), std::min(download_cap[static_cast<std::size_t>(v)], unbounded_));
   }
 }
 
 void DownloadCapProbe::set_uniform_cap(double cap) {
-  const double clamped = std::min(cap, unbounded_);
-  for (int v = 1; v < num_nodes_; ++v) {
-    cap_[static_cast<std::size_t>(v)] = clamped;
-    graph_.set_capacity(cap_edge_[static_cast<std::size_t>(v)], clamped);
-  }
+  set_caps(std::vector<double>(static_cast<std::size_t>(num_nodes_), cap));
 }
 
 double DownloadCapProbe::throughput() {
-  const int N = num_nodes_;
-  if (N <= 1) return 0.0;
-  // min(inflow, cap) upper-bounds the flow into every sink in any digraph.
-  // The sink's own download cap applies: measure flow into v_out (v + N).
-  sink_order_.clear();
-  sink_order_.reserve(static_cast<std::size_t>(N - 1));
-  for (int v = 1; v < N; ++v) {
-    sink_order_.emplace_back(std::min(inflow_[static_cast<std::size_t>(v)],
-                                      cap_[static_cast<std::size_t>(v)]),
-                             v + N);
-  }
-  return limit_bounded_sink_sweep(graph_, /*source=*/N, sink_order_);
+  if (num_nodes_ <= 1) return 0.0;
+  return graph_.rooted_min_cut(0);
 }
 
 double scheme_throughput_with_download_caps(
     const BroadcastScheme& scheme, const std::vector<double>& download_cap) {
-  if (static_cast<int>(download_cap.size()) != scheme.num_nodes()) {
-    throw std::invalid_argument(
-        "scheme_throughput_with_download_caps: size mismatch");
-  }
   DownloadCapProbe probe(scheme);
   probe.set_caps(download_cap);
   return probe.throughput();

@@ -6,13 +6,12 @@
 //   * validation of a scheme against download caps, and
 //   * throughput evaluation with node capacities via the classic
 //     node-splitting reduction (v -> v_in/v_out with an internal edge of
-//     capacity b_in(v)).
+//     capacity b_in(v)), solved as one rooted min cut.
 // It lets users check when the paper's assumption is safe (download cap
 // >= target rate T suffices) and measure the degradation when it is not.
 #pragma once
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bmp/core/scheme.hpp"
@@ -21,12 +20,13 @@
 namespace bmp::flow {
 
 /// Reusable throughput probe for one scheme under varying download caps.
-/// The node-split graph is built once; each probe rewrites only the N
-/// internal-edge capacities in place (MaxFlowGraph::set_capacity) and
-/// re-runs a limit-bounded sink sweep on the same CSR storage and scratch —
-/// a bisection such as minimal_uniform_download_cap pays the graph
-/// construction once instead of per probe, and each sweep is seeded with
-/// the min(inflow, cap) upper bound so most sinks exit early.
+/// The node-split graph is built once; each probe rewrites only the cap
+/// edges in place (MaxFlowGraph::set_capacity) and re-runs one rooted min
+/// cut on the same storage. The source 0 stays unsplit; every other node
+/// v splits into v_in = v and v_out = v + N - 1 joined by its cap edge,
+/// and scheme edges run u_out -> v_in. v_out's only in-arc leaves v_in, so
+/// maxflow(0 -> v_in) >= maxflow(0 -> v_out): the rooted cut is the capped
+/// throughput, min over the v_out sinks.
 class DownloadCapProbe {
  public:
   explicit DownloadCapProbe(const BroadcastScheme& scheme);
@@ -37,17 +37,12 @@ class DownloadCapProbe {
   /// Caps every non-source node at `cap`.
   void set_uniform_cap(double cap);
 
-  /// min_k maxflow(source_out -> k_in..k_out) under the current caps.
+  /// min_k maxflow(0 -> k_out) under the current caps.
   double throughput();
 
  private:
   int num_nodes_ = 0;
   double unbounded_ = 0.0;
-  std::vector<int> cap_edge_;   ///< internal edge id of node v
-  std::vector<double> inflow_;  ///< scheme inflow per node (cap-free)
-  std::vector<double> cap_;     ///< caps currently applied
-  /// Scratch for limit_bounded_sink_sweep: (bound, split sink id) pairs.
-  std::vector<std::pair<double, int>> sink_order_;
   MaxFlowGraph graph_;
 };
 

@@ -16,30 +16,21 @@
 // node fed at rate T), which makes the planner/session/runtime verification
 // loop allocation- and solver-free in the common case.
 //
-// Tier 2 (warm max-flow sweep). Cyclic or irregular overlays fall back to
-// Dinic, but the sweep is warm-started: the graph is built once in CSR form
-// and reset by memcpy between sinks, the running minimum — seeded with the
-// min-inflow upper bound, which is valid for *any* digraph — caps every
-// solve through max_flow(s, t, limit), and sinks are visited in ascending
-// inflow order so the cap tightens as early as possible. With a ThreadPool
-// the sink range is split into deterministic chunks, each with its own
-// graph copy and its own running minimum; the chunk minima combine to the
-// exact global minimum regardless of thread count or timing.
+// Tier 2 (rooted min cut). Cyclic or irregular overlays go through one
+// Hao–Orlin push-relabel run (MaxFlowGraph::rooted_min_cut), which yields
+// min over sinks of maxflow(0 -> k) — the rooted minimum cut — exactly,
+// in one solve instead of one per sink, on the verifier's reusable CSR
+// graph.
 //
 // Tier 3 (oracle). scheme_throughput_oracle — one full Dinic solve per
 // sink, nothing exploited. Kept as the differential-testing cross-check.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "bmp/core/scheme.hpp"
 #include "bmp/flow/maxflow.hpp"
-
-namespace bmp::util {
-class ThreadPool;
-}  // namespace bmp::util
 
 namespace bmp::obs {
 class Profiler;
@@ -50,7 +41,7 @@ namespace bmp::flow {
 
 enum class VerifyTier : std::uint8_t {
   kAcyclicSweep,  ///< tier 1: topological min-inflow sweep, no solves
-  kWarmMaxFlow,   ///< tier 2: limit-bounded Dinic sink sweep
+  kRootedMinCut,  ///< tier 2: one Hao–Orlin rooted min cut
   kOracle,        ///< tier 3: full Dinic per sink (cross-check only)
 };
 
@@ -59,10 +50,12 @@ enum class VerifyTier : std::uint8_t {
 struct VerifyResult {
   double throughput = 0.0;
   VerifyTier tier = VerifyTier::kAcyclicSweep;
-  int maxflow_solves = 0;  ///< Dinic invocations (0 on the tier-1 path)
-  /// BFS level-graph rebuilds across those solves — the per-verify Dinic
-  /// work measure. Deterministic (pool-size-independent, like the solves).
+  /// Max-flow solves: 0 on tier 1, 1 on tier 2, one per sink on tier 3.
+  int maxflow_solves = 0;
+  /// Deterministic work: tier-3 BFS rounds, tier-2 pushes and relabels.
   std::uint64_t bfs_rounds = 0;
+  std::uint64_t pushes = 0;
+  std::uint64_t relabels = 0;
 };
 
 /// Cumulative per-verifier counters; wall-clock total under `total_us`
@@ -72,35 +65,16 @@ struct VerifyStats {
   std::uint64_t tier_sweep = 0;    ///< verifications served by tier 1
   std::uint64_t tier_maxflow = 0;  ///< verifications served by tier 2/3
   std::uint64_t maxflow_solves = 0;
-  std::uint64_t bfs_rounds = 0;
-  std::uint64_t parallel_sweeps = 0;  ///< tier-2 sweeps run on a pool
   double total_us = 0.0;
   double last_us = 0.0;
 };
 
 struct VerifyOptions {
   /// Force a tier instead of dispatching on structure. kAcyclicSweep may
-  /// only be forced on acyclic schemes (throws otherwise); kOracle routes
-  /// to scheme_throughput_oracle.
+  /// only be forced on acyclic schemes (throws otherwise); kOracle is
+  /// scheme_throughput_oracle.
   bool force_tier = false;
   VerifyTier tier = VerifyTier::kAcyclicSweep;
-  /// Parallel tier-2 sink sweep across this pool. The result — and, with a
-  /// fixed `parallel_chunks`, the solve/BFS counts — is identical for any
-  /// pool size. nullptr defers to `auto_pool`.
-  util::ThreadPool* pool = nullptr;
-  /// With pool == nullptr, run the parallel sweep on the process-shared
-  /// verify pool whenever hardware_concurrency() > 1 — the deterministic
-  /// parallel sweep is the *default*. Set false to force the serial sweep
-  /// (single-core hosts always sweep serially).
-  bool auto_pool = true;
-  /// Minimum sink count before the parallel sweep is worth the per-chunk
-  /// graph copies.
-  int parallel_min_sinks = 256;
-  /// Fixed chunk count of the parallel sweep (clamped to the sink count).
-  /// Fixed — not pool-derived — so the chunk split, the per-chunk running
-  /// minima, and therefore every profiler work counter are independent of
-  /// the pool size, not just the verified throughput.
-  int parallel_chunks = 16;
   /// Collect wall-clock timings into stats() (two steady_clock reads per
   /// verify; the measurement itself never affects the returned value).
   bool collect_timing = true;
@@ -110,7 +84,7 @@ struct VerifyOptions {
   /// is independent of thread count.
   obs::TraceSink* trace = nullptr;
   /// Performance attribution (null = off): per-tier phase counters —
-  /// sweeps, solves, BFS rounds, graph copies — under "verify/...". Safe
+  /// nodes, solves, pushes, relabels, BFS rounds — under "verify/...". Safe
   /// on any thread (counter sums are commutative); wall time rides along
   /// only when the profiler opted in *and* collect_timing is on.
   obs::Profiler* profiler = nullptr;
@@ -122,7 +96,7 @@ struct VerifyOptions {
 /// high-water-mark growth.
 class Verifier {
  public:
-  explicit Verifier(VerifyOptions options = {});
+  explicit Verifier(VerifyOptions options = {}) : options_(options) {}
 
   VerifyResult verify(const BroadcastScheme& scheme);
 
@@ -133,7 +107,6 @@ class Verifier {
   VerifyResult dispatch(const BroadcastScheme& scheme);
   /// Kahn sweep; fills inflow_/indegree_ and returns true iff acyclic.
   bool acyclic_sweep(const BroadcastScheme& scheme);
-  VerifyResult warm_maxflow(const BroadcastScheme& scheme);
 
   VerifyOptions options_;
   VerifyStats stats_;
@@ -142,26 +115,12 @@ class Verifier {
   std::vector<int> indegree_;
   std::vector<int> stack_;
   std::vector<double> inflow_;
-  // Tier-2 scratch: (inflow bound, sink id) pairs for the sweep.
-  std::vector<std::pair<double, int>> sink_order_;
+  // Tier-2/3 solver.
   MaxFlowGraph graph_;
 };
 
 /// One-shot verification through a thread-local Verifier (scratch reused
 /// across calls on each thread).
 VerifyResult verify_throughput(const BroadcastScheme& scheme);
-
-/// The limit-bounded min-over-sinks sweep shared by the tier-2 verifier
-/// and the node-caps probes: `sinks` holds one (upper_bound, sink id) pair
-/// per sink, where upper_bound must be a valid upper bound on
-/// maxflow(source -> sink) (e.g. the sink's inflow). Sorts `sinks` in
-/// place ascending by (bound, id) — deterministic — seeds the running
-/// minimum with the smallest bound, and caps every solve with it; a sink
-/// at or above the running minimum can never lower it, so its exact flow
-/// is never computed. Returns the exact min over sinks; `solves` (if
-/// non-null) is incremented per max-flow invocation.
-double limit_bounded_sink_sweep(MaxFlowGraph& graph, int source,
-                                std::vector<std::pair<double, int>>& sinks,
-                                int* solves = nullptr);
 
 }  // namespace bmp::flow

@@ -3,7 +3,10 @@
 // and platform/scheme serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "bmp/core/acyclic_search.hpp"
 #include "bmp/core/bounds.hpp"
@@ -110,6 +113,51 @@ TEST(NodeCaps, TightCapBindsThroughput) {
   // node 2 shrinks too.
   EXPECT_NEAR(flow::scheme_throughput_with_download_caps(s, {0, 0.5, 9}), 0.5,
               1e-9);
+}
+
+/// The full node split, every node included: v_in = v, v_out = v + N, the
+/// source's own cap edge unbounded, and one Dinic solve per v_out sink.
+double per_sink_split_dinic(const BroadcastScheme& scheme,
+                            const std::vector<double>& caps) {
+  const int N = scheme.num_nodes();
+  const double unbounded = scheme.total_rate() + 1.0;
+  flow::MaxFlowGraph graph(2 * N);
+  for (int v = 0; v < N; ++v) {
+    graph.add_edge(v, v + N,
+                   v == 0 ? unbounded
+                          : std::min(caps[static_cast<std::size_t>(v)], unbounded));
+    for (const auto& [to, rate] : scheme.out_edges(v)) {
+      graph.add_edge(v + N, to, rate);
+    }
+  }
+  double best = std::numeric_limits<double>::infinity();
+  for (int v = 1; v < N; ++v) {
+    graph.reset();
+    best = std::min(best, graph.max_flow(N, v + N));
+  }
+  return best;
+}
+
+TEST(NodeCaps, ProbeMatchesPerSinkDinicOnTheFullSplit) {
+  // Random cyclic schemes (edges into the source included) under random
+  // caps, some binding and some not: the probe's one rooted min cut on
+  // the compact split must equal the per-sink sweep on the full split.
+  util::Xoshiro256 rng(83);
+  for (int rep = 0; rep < 300; ++rep) {
+    const int N = 2 + static_cast<int>(rng.below(14));
+    BroadcastScheme scheme(N);
+    for (int e = 0; e < 3 * N; ++e) {
+      const int from = static_cast<int>(rng.below(static_cast<std::uint64_t>(N)));
+      const int to = static_cast<int>(rng.below(static_cast<std::uint64_t>(N)));
+      if (from != to) scheme.add(from, to, rng.uniform(0.1, 5.0));
+    }
+    std::vector<double> caps(static_cast<std::size_t>(N));
+    for (double& cap : caps) cap = rng.uniform(0.05, 12.0);
+    const double reference = per_sink_split_dinic(scheme, caps);
+    EXPECT_NEAR(flow::scheme_throughput_with_download_caps(scheme, caps),
+                reference, 1e-9 * std::max(1.0, reference))
+        << "rep " << rep;
+  }
 }
 
 // For schemes with uniform inflow T, download caps of exactly T suffice:

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "bmp/core/scheme.hpp"
 #include "bmp/flow/maxflow.hpp"
@@ -82,17 +83,48 @@ TEST(MaxFlow, DisconnectedSinkIsZero) {
   EXPECT_DOUBLE_EQ(g.max_flow(0, 2), 0.0);
 }
 
-TEST(MaxFlow, LimitOverloadClampsAndEarlyExits) {
-  MaxFlowGraph g(4);
-  g.add_edge(0, 1, 3.0);
-  g.add_edge(1, 3, 3.0);
-  g.add_edge(0, 2, 4.0);
-  g.add_edge(2, 3, 2.0);
-  // True max flow is 5; the limited call stops at the cap.
-  EXPECT_DOUBLE_EQ(g.max_flow(0, 3, 2.5), 2.5);
-  g.reset();
-  // A limit above the max flow returns the exact value.
-  EXPECT_DOUBLE_EQ(g.max_flow(0, 3, 100.0), 5.0);
+TEST(MaxFlow, RejectsNonFiniteCapacities) {
+  // NaN passes a plain "< 0" check; it must never reach the excess
+  // arithmetic of either solver.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  MaxFlowGraph g(2);
+  EXPECT_THROW(g.add_edge(0, 1, nan), std::invalid_argument);
+  EXPECT_THROW(g.add_edge(0, 1, inf), std::invalid_argument);
+  EXPECT_THROW(g.add_edge(0, 1, -inf), std::invalid_argument);
+  EXPECT_EQ(g.num_edges(), 0);
+  const int e01 = g.add_edge(0, 1, 2.0);
+  EXPECT_THROW(g.set_capacity(e01, nan), std::invalid_argument);
+  EXPECT_THROW(g.set_capacity(e01, inf), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(g.max_flow(0, 1), 2.0);
+}
+
+TEST(MaxFlow, RootedMinCutOnHandCheckedGraphs) {
+  // CLRS 26.6 rooted at 0: the per-sink max flows to nodes 1..5 are 20,
+  // 29, 19, 14 and 23, so node 4's lone in-arc is the rooted minimum.
+  MaxFlowGraph clrs(6);
+  clrs.add_edge(0, 1, 16);
+  clrs.add_edge(0, 2, 13);
+  clrs.add_edge(1, 2, 10);
+  clrs.add_edge(2, 1, 4);
+  clrs.add_edge(1, 3, 12);
+  clrs.add_edge(3, 2, 9);
+  clrs.add_edge(2, 4, 14);
+  clrs.add_edge(4, 3, 7);
+  clrs.add_edge(3, 5, 20);
+  clrs.add_edge(4, 5, 4);
+  EXPECT_DOUBLE_EQ(clrs.rooted_min_cut(0), 14.0);
+  // Runs on construction capacities: a second call gives the same value.
+  EXPECT_DOUBLE_EQ(clrs.rooted_min_cut(0), 14.0);
+  EXPECT_GT(clrs.pushes(), 0u);
+
+  MaxFlowGraph single(1);
+  EXPECT_EQ(single.rooted_min_cut(0), std::numeric_limits<double>::infinity());
+  MaxFlowGraph unreachable(3);
+  unreachable.add_edge(0, 1, 1.0);
+  unreachable.add_edge(2, 1, 5.0);
+  EXPECT_DOUBLE_EQ(unreachable.rooted_min_cut(0), 0.0);
+  EXPECT_THROW(unreachable.rooted_min_cut(3), std::out_of_range);
 }
 
 TEST(MaxFlow, SetCapacityRetargetsAnExistingEdge) {

@@ -4,9 +4,8 @@
 //   * byte-identity: the full five-layer closed loop (the 500-node control
 //     acceptance scenario) produces byte-identical to_json/to_collapsed/
 //     summary_json across repeated runs AND across planner thread counts;
-//   * parallel verify: the deterministic pool-parallel tier-2 sink sweep
-//     (the VerifyOptions::auto_pool default) reports exactly the serial
-//     sweep's throughput, solve count, BFS rounds, and profiler counters.
+//   * tier-2 verify: the rooted min cut's push/relabel counters repeat
+//     exactly across runs and across planner thread counts.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,13 +13,13 @@
 
 #include "bmp/core/bounds.hpp"
 #include "bmp/core/cyclic_open.hpp"
+#include "bmp/engine/planner.hpp"
 #include "bmp/flow/verify.hpp"
 #include "bmp/gen/generator.hpp"
 #include "bmp/obs/profiler.hpp"
 #include "bmp/runtime/runtime.hpp"
 #include "bmp/runtime/scenario.hpp"
 #include "bmp/util/rng.hpp"
-#include "bmp/util/thread_pool.hpp"
 
 namespace bmp {
 namespace {
@@ -154,61 +153,12 @@ TEST(ProfilerDeterminism, ByteIdenticalAcrossPlannerThreadCounts) {
   EXPECT_EQ(one_thread.summary_json(), four_threads.summary_json());
 }
 
-// ------------------------------------ parallel tier-2 verify sweep parity
+// ------------------------------------------- tier-2 verify work counters
 
-TEST(ParallelVerify, PoolSweepExactAndPoolSizeIndependent) {
-  // A cyclic overlay over enough sinks to clear parallel_min_sinks, so the
-  // chunked sweep actually engages.
+TEST(TierTwoVerify, WorkCountersRepeatExactly) {
+  // A Thm 5.2 cyclic overlay over 400 open nodes.
   util::Xoshiro256 rng(7);
   std::vector<double> open_bw(400);
-  for (auto& b : open_bw) b = rng.uniform(1.0, 10.0);
-  const Instance open_only(rng.uniform(5.0, 10.0), std::move(open_bw), {});
-  const double t_star = cyclic_open_optimal(open_only);
-  const BroadcastScheme cyclic = build_cyclic_open(open_only, t_star);
-
-  obs::Profiler serial_profile;
-  flow::VerifyOptions serial_options;
-  serial_options.auto_pool = false;
-  serial_options.profiler = &serial_profile;
-  flow::Verifier serial(serial_options);
-  const flow::VerifyResult serial_result = serial.verify(cyclic);
-  EXPECT_EQ(serial.stats().parallel_sweeps, 0u);
-  EXPECT_EQ(serial_result.tier, flow::VerifyTier::kWarmMaxFlow);
-
-  // Two explicit pools of different sizes: the chunked sweep must engage
-  // on both (pool size > 1) and — because the chunk split is a fixed
-  // option, never pool-derived — produce byte-identical attribution and
-  // the exact serial throughput. Solve/BFS counts legitimately differ
-  // from the *serial* sweep (per-chunk running minima tighten more slowly
-  // than one global minimum), which is exactly why the invariant that
-  // matters is pool-size-independence.
-  util::ThreadPool two(2);
-  util::ThreadPool four(4);
-  obs::Profiler two_profile;
-  obs::Profiler four_profile;
-  flow::VerifyResult results[2];
-  obs::Profiler* profiles[2] = {&two_profile, &four_profile};
-  util::ThreadPool* pools[2] = {&two, &four};
-  for (int i = 0; i < 2; ++i) {
-    flow::VerifyOptions options;
-    options.pool = pools[i];
-    options.profiler = profiles[i];
-    flow::Verifier verifier(options);
-    results[i] = verifier.verify(cyclic);
-    EXPECT_EQ(verifier.stats().parallel_sweeps, 1u);
-  }
-
-  EXPECT_EQ(results[0].throughput, serial_result.throughput);
-  EXPECT_EQ(results[1].throughput, serial_result.throughput);
-  EXPECT_EQ(results[0].maxflow_solves, results[1].maxflow_solves);
-  EXPECT_EQ(results[0].bfs_rounds, results[1].bfs_rounds);
-  EXPECT_EQ(two_profile.summary_json(), four_profile.summary_json());
-  EXPECT_GT(two_profile.counter("verify/tier2_maxflow", "graph_copies"), 0u);
-}
-
-TEST(ParallelVerify, PoolSweepIsDeterministicAcrossRepeats) {
-  util::Xoshiro256 rng(13);
-  std::vector<double> open_bw(300);
   for (auto& b : open_bw) b = rng.uniform(1.0, 10.0);
   const Instance open_only(rng.uniform(5.0, 10.0), std::move(open_bw), {});
   const BroadcastScheme cyclic =
@@ -216,20 +166,58 @@ TEST(ParallelVerify, PoolSweepIsDeterministicAcrossRepeats) {
 
   std::string first_report;
   double first_throughput = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
+  for (int rep = 0; rep < 2; ++rep) {
     obs::Profiler profile;
     flow::VerifyOptions options;
     options.profiler = &profile;
     flow::Verifier verifier(options);
     const flow::VerifyResult result = verifier.verify(cyclic);
+    EXPECT_EQ(result.tier, flow::VerifyTier::kRootedMinCut);
+    EXPECT_EQ(result.maxflow_solves, 1);
+    EXPECT_GT(result.pushes, 0u);
+    EXPECT_EQ(profile.counter("verify/tier2_maxflow", "pushes"), result.pushes);
+    EXPECT_EQ(profile.counter("verify/tier2_maxflow", "relabels"),
+              result.relabels);
     if (rep == 0) {
       first_report = profile.summary_json();
       first_throughput = result.throughput;
-      continue;
+    } else {
+      EXPECT_EQ(profile.summary_json(), first_report);
+      EXPECT_EQ(result.throughput, first_throughput);
     }
-    EXPECT_EQ(profile.summary_json(), first_report);
-    EXPECT_EQ(result.throughput, first_throughput);
   }
+}
+
+TEST(TierTwoVerify, PlannerCountersIndependentOfThreadCount) {
+  // Cyclic constructions verified on the planner's workers, each through
+  // its own thread-local verifier: the summed push/relabel counters must
+  // not depend on which worker verified which plan.
+  std::vector<engine::PlanRequest> requests;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    util::Xoshiro256 rng(seed);
+    std::vector<double> open_bw(120 + 40 * seed);
+    for (auto& b : open_bw) b = rng.uniform(1.0, 10.0);
+    requests.push_back({Instance(rng.uniform(5.0, 10.0), std::move(open_bw), {}),
+                        engine::Algorithm::kCyclic, 0});
+  }
+  std::string reports[2];
+  const std::size_t threads[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    obs::Profiler profile;
+    engine::PlannerConfig config;
+    config.threads = threads[i];
+    config.profiler = &profile;
+    engine::Planner planner(config);
+    for (const engine::PlanResponse& response : planner.plan_batch(requests)) {
+      EXPECT_EQ(response.verified_tier, flow::VerifyTier::kRootedMinCut);
+    }
+    EXPECT_EQ(profile.counter("planner/compute/verify", "tier2_verifies"), 6u);
+    EXPECT_EQ(profile.counter("planner/compute/verify", "solves"), 6u);
+    EXPECT_GT(profile.counter("planner/compute/verify", "pushes"), 0u);
+    EXPECT_GT(profile.counter("planner/compute/verify", "relabels"), 0u);
+    reports[i] = profile.summary_json();
+  }
+  EXPECT_EQ(reports[0], reports[1]);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // topology queries, validation and DOT export.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "bmp/core/scheme.hpp"
 #include "test_helpers.hpp"
 
@@ -40,6 +42,22 @@ TEST(Scheme, RejectsBadEdges) {
   s.add(0, 1, 1.0);
   EXPECT_THROW(s.add(0, 1, -2.0), std::invalid_argument);  // below zero
   EXPECT_THROW(BroadcastScheme(0), std::invalid_argument);
+}
+
+TEST(Scheme, RejectsNonFiniteRates) {
+  // NaN slips past a plain "< 0" check; no non-finite rate may reach the
+  // max-flow excess arithmetic, neither on a new edge nor as an update.
+  BroadcastScheme s(3);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(s.add(0, 1, nan), std::invalid_argument);
+  EXPECT_THROW(s.add(0, 1, inf), std::invalid_argument);
+  EXPECT_THROW(s.add(0, 1, -inf), std::invalid_argument);
+  s.add(0, 1, 1.0);
+  EXPECT_THROW(s.add(0, 1, nan), std::invalid_argument);
+  EXPECT_THROW(s.add(0, 1, inf), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(s.rate(0, 1), 1.0);  // a rejected update changes nothing
+  EXPECT_EQ(s.out_degree(0), 1);
 }
 
 TEST(Scheme, RatesAndDegrees) {

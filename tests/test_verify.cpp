@@ -13,7 +13,6 @@
 #include "bmp/flow/maxflow.hpp"
 #include "bmp/flow/verify.hpp"
 #include "bmp/sim/churn.hpp"
-#include "bmp/util/thread_pool.hpp"
 #include "test_helpers.hpp"
 
 namespace bmp::flow {
@@ -93,7 +92,7 @@ TEST(Verify, CyclicSchemesUseTierTwoAndMatchOracle) {
     // Tier choice is a pure function of the overlay's structure.
     const VerifyTier expected = scheme.is_acyclic()
                                     ? VerifyTier::kAcyclicSweep
-                                    : VerifyTier::kWarmMaxFlow;
+                                    : VerifyTier::kRootedMinCut;
     EXPECT_EQ(fast.tier, expected);
     EXPECT_NEAR(fast.throughput, oracle, tol_for(oracle));
     cyclic_seen += scheme.is_acyclic() ? 0 : 1;
@@ -111,7 +110,7 @@ TEST(Verify, Fig1CyclicOptimalScheme) {
   s.add(3, 1, 2.5);  s.add(3, 2, 1.5);  s.add(4, 2, 1.0);  s.add(5, 2, 1.0);
   ASSERT_FALSE(s.is_acyclic());
   const VerifyResult fast = verify_throughput(s);
-  EXPECT_EQ(fast.tier, VerifyTier::kWarmMaxFlow);
+  EXPECT_EQ(fast.tier, VerifyTier::kRootedMinCut);
   EXPECT_NEAR(fast.throughput, 4.4, 1e-9);
 }
 
@@ -147,7 +146,7 @@ TEST(Verify, PostChurnRestrictedAndRepairedSchemesMatchOracle) {
     const VerifyResult repaired = verifier.verify(repair.scheme);
     EXPECT_EQ(repaired.tier, repair.scheme.is_acyclic()
                                  ? VerifyTier::kAcyclicSweep
-                                 : VerifyTier::kWarmMaxFlow);
+                                 : VerifyTier::kRootedMinCut);
     EXPECT_NEAR(repaired.throughput, oracle, tol_for(oracle));
   }
 }
@@ -174,11 +173,10 @@ TEST(Verify, ForcedTiersAgree) {
   EXPECT_THROW(sweep_verifier.verify(cyclic), std::invalid_argument);
 }
 
-TEST(Verify, ParallelSinkSweepMatchesSerial) {
+TEST(Verify, LargeCyclicOverlayMatchesOracleInOneSolve) {
   util::Xoshiro256 rng(777);
-  // Large enough to clear parallel_min_sinks with room to spare. Chain +
-  // back edge + random chords: every node has positive inflow, so the
-  // sweep actually solves every sink.
+  // Chain + back edge + random chords: every node has positive inflow, so
+  // the rooted min cut runs over all 399 sinks.
   const int num_nodes = 400;
   BroadcastScheme scheme(num_nodes);
   for (int v = 1; v < num_nodes; ++v) scheme.add(v - 1, v, rng.uniform(1.0, 4.0));
@@ -192,21 +190,87 @@ TEST(Verify, ParallelSinkSweepMatchesSerial) {
   }
   ASSERT_FALSE(scheme.is_acyclic());
 
-  Verifier serial;
-  const VerifyResult s = serial.verify(scheme);
+  const VerifyResult fast = verify_throughput(scheme);
+  EXPECT_EQ(fast.tier, VerifyTier::kRootedMinCut);
+  EXPECT_EQ(fast.maxflow_solves, 1);
+  EXPECT_GT(fast.pushes, 0u);
+  const double oracle = scheme_throughput_oracle(scheme);
+  EXPECT_NEAR(fast.throughput, oracle, tol_for(oracle));
+}
 
-  util::ThreadPool pool(4);
-  VerifyOptions parallel_opts;
-  parallel_opts.pool = &pool;
-  parallel_opts.parallel_min_sinks = 16;
-  Verifier parallel(parallel_opts);
-  const VerifyResult p = parallel.verify(scheme);
+/// Tier 2 forced (acyclic draws included) against the Dinic oracle.
+void expect_rooted_cut_matches_oracle(Verifier& verifier,
+                                      const BroadcastScheme& scheme) {
+  const VerifyResult fast = verifier.verify(scheme);
+  ASSERT_EQ(fast.tier, VerifyTier::kRootedMinCut);
+  const double oracle = scheme_throughput_oracle(scheme);
+  ASSERT_NEAR(fast.throughput, oracle, tol_for(oracle))
+      << "nodes " << scheme.num_nodes();
+}
 
-  EXPECT_EQ(p.tier, VerifyTier::kWarmMaxFlow);
-  EXPECT_EQ(p.maxflow_solves, num_nodes - 1);
-  EXPECT_NEAR(p.throughput, s.throughput, tol_for(s.throughput));
-  EXPECT_NEAR(p.throughput, scheme_throughput_oracle(scheme),
-              tol_for(s.throughput));
+TEST(Verify, RootedMinCutMatchesOracle) {
+  VerifyOptions options;
+  options.force_tier = true;
+  options.tier = VerifyTier::kRootedMinCut;
+  Verifier verifier(options);
+
+  // Seeded fuzz: 2-41 nodes, edge density log-uniform from sparse to
+  // near-complete, and now and then capacities within a few eps() of zero.
+  util::Xoshiro256 rng(20260418);
+  for (int rep = 0; rep < 20000; ++rep) {
+    const int num_nodes = 2 + static_cast<int>(rng.below(40));
+    const double density = 0.02 * std::pow(45.0, rng.uniform(0.0, 1.0));
+    const bool near_eps = rng.below(8) == 0;
+    BroadcastScheme scheme(num_nodes);
+    for (int from = 0; from < num_nodes; ++from) {
+      for (int to = 0; to < num_nodes; ++to) {
+        if (from == to || rng.uniform(0.0, 1.0) >= density) continue;
+        const double rate = near_eps && rng.below(4) == 0
+                                ? 5.0 * 1e-12 * rng.uniform(0.5, 3.0)
+                                : rng.uniform(0.1, 5.0);
+        scheme.add(from, to, rate);
+      }
+    }
+    // The eps() scale is relative to the largest capacity.
+    if (near_eps) scheme.add(0, 1, 5.0);
+    ASSERT_NO_FATAL_FAILURE(expect_rooted_cut_matches_oracle(verifier, scheme))
+        << "rep " << rep;
+  }
+
+  // An unreachable node: zero, whatever else the graph carries.
+  BroadcastScheme unreachable(4);
+  unreachable.add(0, 1, 2.0);
+  unreachable.add(1, 2, 2.0);
+  unreachable.add(2, 1, 1.0);
+  unreachable.add(3, 1, 4.0);
+  expect_rooted_cut_matches_oracle(verifier, unreachable);
+  EXPECT_DOUBLE_EQ(verifier.verify(unreachable).throughput, 0.0);
+
+  // Edges into the source never cross a rooted cut.
+  BroadcastScheme into_source(3);
+  into_source.add(0, 1, 3.0);
+  into_source.add(1, 2, 2.0);
+  into_source.add(2, 0, 7.0);
+  into_source.add(1, 0, 7.0);
+  expect_rooted_cut_matches_oracle(verifier, into_source);
+  EXPECT_DOUBLE_EQ(verifier.verify(into_source).throughput, 2.0);
+
+  BroadcastScheme two(2);
+  two.add(0, 1, 1.25);
+  two.add(1, 0, 9.0);
+  expect_rooted_cut_matches_oracle(verifier, two);
+  EXPECT_DOUBLE_EQ(verifier.verify(two).throughput, 1.25);
+
+  // Min inflow is node 3's 3.0, but nodes 1 and 2 receive 4.0 each only
+  // by feeding each other: from the source they get 1.0 + 1.0 = 2.0.
+  BroadcastScheme hidden_min(4);
+  hidden_min.add(0, 1, 1.0);
+  hidden_min.add(0, 2, 1.0);
+  hidden_min.add(1, 2, 3.0);
+  hidden_min.add(2, 1, 3.0);
+  hidden_min.add(0, 3, 3.0);
+  expect_rooted_cut_matches_oracle(verifier, hidden_min);
+  EXPECT_NEAR(verifier.verify(hidden_min).throughput, 2.0, 1e-12);
 }
 
 TEST(Verify, SingleNodeAndZeroInflowEdgeCases) {
