@@ -8,12 +8,16 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bmp/fault/injector.hpp"
 #include "bmp/flow/maxflow.hpp"
+#include "bmp/obs/flight_recorder.hpp"
 #include "bmp/obs/lineage.hpp"
+#include "bmp/obs/profiler.hpp"
 #include "bmp/obs/rollup.hpp"
 #include "bmp/obs/trace.hpp"
 #include "bmp/runtime/capacity_broker.hpp"
@@ -714,6 +718,113 @@ TEST(RuntimeGolden, FixedScenarioDigestIsPinned) {
   std::snprintf(actual, sizeof(actual), "0x%016" PRIx64, fnv1a(out));
   EXPECT_EQ(fnv1a(out), kDigest) << "digest " << actual << " over "
                                  << out.size() << " bytes";
+}
+
+
+/// The golden digest pins the trace, lineage and metrics bytes, but not
+/// where the profiler and the flight recorder reach: a layer that silently
+/// lost its profiler would still pass it. This run sets all five sinks and
+/// pins, per sink, the layers it must hear from.
+TEST(RuntimeHooks, EverySinkReachesItsLayers) {
+  Scenario scenario(8.0, /*seed=*/77);
+  scenario.source(1500.0)
+      .population({30, 0.7, gen::Dist::kUnif100})
+      .population({12, 0.3, gen::Dist::kLogNormal1})
+      .channel({0.0, -1.0, /*weight=*/2.0, /*fraction=*/0.35})
+      .channel({0.0, -1.0, 1.0, 0.3})
+      .flash_crowd({1.5, 6, {0, 0.7, gen::Dist::kUnif100}, 0.5, 2.0})
+      .diurnal_churn({4.0, 0.5, 3.0, 0.4, {0, 0.5, gen::Dist::kUnif100}})
+      .renegotiate_every(3.0, 0.9);
+  BrownoutSpec brownout;
+  brownout.time = 2.0;
+  brownout.duration = 3.0;
+  brownout.fraction = 0.15;
+  brownout.capacity_factor = 0.3;
+  scenario.brownout(brownout);
+  const ScenarioScript script = scenario.build();
+
+  obs::TraceSink trace;
+  obs::FlightRecorder recorder;
+  obs::Profiler profiler;
+  obs::LineageSink lineage;
+  obs::ShardRegistry telemetry;
+  RuntimeConfig config;
+  config.collect_timing = false;
+  config.broker_headroom = 0.05;
+  config.dataplane.execute = true;
+  config.dataplane.execution.chunk_size = 2.0;
+  // Loss and a tight window feed the retransmit and stall tables.
+  config.dataplane.execution.receiver_window = 4;
+  config.dataplane.execution.loss_rate = 0.02;
+  config.control.enabled = true;
+  config.control.slo_enabled = true;
+  config.trace = &trace;
+  config.recorder = &recorder;
+  config.profiler = &profiler;
+  config.lineage = &lineage;
+  config.telemetry = &telemetry;
+  Runtime rt(config, script.source_bandwidth, script.initial_peers);
+  rt.run(script.events);
+  (void)rt.drain(8.5);
+  ASSERT_TRUE(rt.validate().empty());
+
+  // The scenario exercises what it claims to.
+  EXPECT_GT(rt.metrics().counter("events.node_leave"), 0u);
+  EXPECT_GT(rt.metrics().counter("broker.renegotiated"), 0u);
+  EXPECT_FALSE(rt.control_log().empty());
+
+  // Profiler: the exact phase set, from runtime loop to dataplane.
+  std::set<std::string> phases;
+  std::istringstream collapsed(profiler.to_collapsed());
+  for (std::string line; std::getline(collapsed, line);) {
+    std::string path = line.substr(0, line.rfind(' '));
+    for (char& c : path) {
+      if (c == ';') c = '/';
+    }
+    phases.insert(path);
+  }
+  const std::set<std::string> expected_phases = {
+      "dataplane/advance",        "dataplane/scheduler",
+      "planner/compute",          "planner/compute/verify",
+      "planner/plan",             "runtime/broker/rebalance",
+      "runtime/control/decide",   "runtime/session/adapt",
+      "runtime/session/build",    "runtime/session/churn",
+      "runtime/step",             "verify/tier1_sweep"};
+  EXPECT_EQ(phases, expected_phases);
+
+  // Trace: every layer the runtime hosts writes to its own lane.
+  const std::string json = trace.to_json();
+  for (const obs::Lane lane :
+       {obs::Lane::kRuntime, obs::Lane::kPlanner, obs::Lane::kVerify,
+        obs::Lane::kSession, obs::Lane::kBroker, obs::Lane::kExecution,
+        obs::Lane::kControl}) {
+    const std::string tag = "\"tid\":" +
+                            std::to_string(static_cast<int>(lane)) +
+                            ",\"args\":{\"seq\"";
+    EXPECT_NE(json.find(tag), std::string::npos)
+        << "no events on lane " << obs::to_string(lane);
+  }
+
+  // Flight recorder: scenario events, admissions and churn.
+  std::set<std::string> kinds;
+  for (int lane = -1; lane < 2; ++lane) {
+    for (const obs::FlightEvent& event : recorder.channel_events(lane)) {
+      kinds.insert(event.kind);
+    }
+  }
+  for (const char* kind : {"event", "admit", "churn"}) {
+    EXPECT_EQ(kinds.count(kind), 1u) << "no recorder " << kind << " record";
+  }
+
+  // Lineage and telemetry: delivery hops and the heavy-hitter tables.
+  EXPECT_GT(lineage.recorded(), 0u);
+  const obs::RollupSnapshot snapshot = telemetry.snapshot();
+  for (const char* table : {"hot.node_retransmits", "hot.edge_retransmits",
+                            "hot.node_stalls", "hot.node_demotion_weight"}) {
+    const auto it = snapshot.topks.find(table);
+    ASSERT_NE(it, snapshot.topks.end()) << table;
+    EXPECT_GT(it->second.tracked(), 0u) << table;
+  }
 }
 
 }  // namespace
