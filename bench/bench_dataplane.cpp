@@ -90,10 +90,11 @@ int main(int argc, char** argv) {
   config.total_chunks = chunks;
   config.emission_rate = solution.throughput;
   config.warmup_chunks = chunks / 5;
-  config.profiler = cli.profiler();
+  bmp::obs::Hooks hooks;
+  hooks.profiler = cli.profiler();
 
   const auto lossless_start = std::chrono::steady_clock::now();
-  bmp::dataplane::Execution lossless(platform, solution.scheme, config);
+  bmp::dataplane::Execution lossless(platform, solution.scheme, config, hooks);
   lossless.run_to_completion();
   const double lossless_s = seconds_since(lossless_start);
   const bmp::dataplane::ExecutionReport clean = lossless.report(verified);
@@ -102,7 +103,7 @@ int main(int argc, char** argv) {
       static_cast<double>(clean.delivered_chunks) / lossless_s;
 
   // ------------------------------------------------ loss + latency variant
-  config.profiler = nullptr;  // attribution covers the headline lossless run
+  // Unprofiled: attribution covers the headline lossless run.
   config.loss_rate = 0.02;
   config.latency = 0.01;
   config.seed = 7;
@@ -189,11 +190,10 @@ int main(int argc, char** argv) {
   // simulator's hot set taxes every run that reuses it, and the min can
   // only discount that placement luck if the samples don't all share it.
   const auto ab_run = [&](bmp::obs::LineageSink* sink) {
-    bmp::dataplane::ExecutionConfig ab_config = config;
-    ab_config.profiler = nullptr;
-    ab_config.lineage = sink;
+    bmp::obs::Hooks ab_hooks;
+    ab_hooks.lineage = sink;
     const auto start = std::chrono::steady_clock::now();
-    bmp::dataplane::Execution exec(platform, solution.scheme, ab_config);
+    bmp::dataplane::Execution exec(platform, solution.scheme, config, ab_hooks);
     exec.run_to_completion();
     return seconds_since(start);
   };

@@ -84,8 +84,9 @@ int main(int argc, char** argv) {
     config.threads = static_cast<std::size_t>(threads);
     // Attribute the widest configuration only, so the profile reflects one
     // run rather than summing the thread ladder.
-    if (threads * 2 > max_threads) config.profiler = cli.profiler();
-    bmp::engine::Planner planner(config);
+    bmp::obs::Hooks hooks;
+    if (threads * 2 > max_threads) hooks.profiler = cli.profiler();
+    bmp::engine::Planner planner(config, hooks);
 
     const auto cold_batch_start = std::chrono::steady_clock::now();
     auto responses = planner.plan_batch(stream);

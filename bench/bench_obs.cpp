@@ -86,21 +86,15 @@ double post_brownout_optimum(const bmp::runtime::ScenarioScript& script,
       .throughput;
 }
 
-/// Which observability surfaces a run attaches (all null/off = the A/B
+/// One shard: the scenario executed + adapted to the horizon with `obs`'s
+/// sinks attached and the SLO monitor on iff `slo` (all null/off = the A/B
 /// baseline; everything set = the full stack the acceptance bar gates).
-struct ObsHooks {
-  bmp::obs::ShardRegistry* telemetry = nullptr;
-  bmp::obs::LineageSink* lineage = nullptr;
-  bmp::obs::TraceSink* trace = nullptr;
-  bool slo = false;
-  bmp::obs::Profiler* profiler = nullptr;
-};
-
-/// One shard: the scenario executed + adapted to the horizon. Returns the
-/// wall seconds of the whole run (construction through the drain marker).
+/// Returns the wall seconds of the whole run (construction through the
+/// drain marker).
 double run_shard(const bmp::runtime::ScenarioScript& script, double chunk,
                  double horizon, std::size_t planner_threads,
-                 const std::string& prefix, const ObsHooks& obs) {
+                 const std::string& prefix, const bmp::obs::Hooks& obs,
+                 bool slo) {
   bmp::runtime::RuntimeConfig config;
   config.collect_timing = false;
   config.broker_headroom = 0.05;
@@ -109,12 +103,9 @@ double run_shard(const bmp::runtime::ScenarioScript& script, double chunk,
   config.dataplane.execution.chunk_size = chunk;
   config.dataplane.execution.receiver_window = 16;
   config.control.enabled = true;
-  config.control.slo_enabled = obs.slo;
-  config.telemetry = obs.telemetry;
+  config.control.slo_enabled = slo;
+  static_cast<bmp::obs::Hooks&>(config) = obs;
   config.telemetry_node_prefix = prefix;
-  config.lineage = obs.lineage;
-  config.trace = obs.trace;
-  config.profiler = obs.profiler;
 
   const auto start = std::chrono::steady_clock::now();
   bmp::runtime::Runtime rt(config, script.source_bandwidth,
@@ -185,14 +176,14 @@ int main(int argc, char** argv) {
   std::uint64_t trace_events = 0;
   for (int s = 0; s < shards; ++s) {
     bmp::obs::TraceSink trace;  // per-shard timeline, bounded ring
-    ObsHooks obs;
+    bmp::obs::Hooks obs;
     obs.telemetry = &regs[static_cast<std::size_t>(s)];
     obs.lineage = &sinks[static_cast<std::size_t>(s)];
     obs.trace = &trace;
-    obs.slo = true;
     obs.profiler = s == 0 ? cli.profiler() : nullptr;
     run_shard(scripts[static_cast<std::size_t>(s)], chunk, horizon,
-              planner_threads, "s" + std::to_string(s) + ":", obs);
+              planner_threads, "s" + std::to_string(s) + ":", obs,
+              /*slo=*/true);
     trace_events += trace.events();
   }
   const double fleet_s = seconds_since(fleet_start);
@@ -244,22 +235,21 @@ int main(int argc, char** argv) {
   bmp::obs::ShardRegistry repeat_reg;
   bmp::obs::LineageSink repeat_sink(lineage_config);
   {
-    ObsHooks obs;
+    bmp::obs::Hooks obs;
     obs.telemetry = &repeat_reg;
     obs.lineage = &repeat_sink;
-    obs.slo = true;
-    run_shard(scripts.front(), chunk, horizon, planner_threads, "s0:", obs);
+    run_shard(scripts.front(), chunk, horizon, planner_threads, "s0:", obs,
+              /*slo=*/true);
   }
   const bool repeat_identical =
       repeat_reg.snapshot().to_json() == snaps.front().to_json() &&
       repeat_sink.to_json() == sinks.front().to_json();
   bmp::obs::ShardRegistry serial_reg;
   {
-    ObsHooks obs;
+    bmp::obs::Hooks obs;
     obs.telemetry = &serial_reg;
-    obs.slo = true;
     run_shard(scripts.front(), chunk, horizon, /*planner_threads=*/1, "s0:",
-              obs);
+              obs, /*slo=*/true);
   }
   const bool thread_identical =
       serial_reg.snapshot().to_json() == snaps.front().to_json();
@@ -280,11 +270,11 @@ int main(int argc, char** argv) {
   {
     const bmp::runtime::ScenarioScript small_script =
         shard_script(peers / 5, horizon, 2026);
-    ObsHooks obs;
+    bmp::obs::Hooks obs;
     obs.telemetry = &small_reg;
     obs.lineage = &small_sink;
-    obs.slo = true;
-    run_shard(small_script, chunk, horizon, planner_threads, "s0:", obs);
+    run_shard(small_script, chunk, horizon, planner_threads, "s0:", obs,
+              /*slo=*/true);
   }
   const std::size_t mem_large = regs.front().memory_bytes();
   const std::size_t mem_small = small_reg.memory_bytes();
@@ -333,15 +323,14 @@ int main(int argc, char** argv) {
     bmp::obs::ShardRegistry reg;
     bmp::obs::LineageSink sink(lineage_config);
     bmp::obs::TraceSink trace;
-    ObsHooks obs;
+    bmp::obs::Hooks obs;
     if (obs_on) {
       obs.telemetry = &reg;
       obs.lineage = &sink;
       obs.trace = &trace;
-      obs.slo = true;
     }
     return run_shard(scripts.front(), chunk, horizon, /*planner_threads=*/1,
-                     "s0:", obs);
+                     "s0:", obs, /*slo=*/obs_on);
   };
   // Estimator: the *median of per-round ratios*. Within a round the two
   // variants run ~80 ms apart, so they share the host's clock state —

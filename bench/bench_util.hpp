@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "bmp/obs/json.hpp"
 #include "bmp/obs/profiler.hpp"
 
 namespace bmp::benchutil {
@@ -76,7 +77,7 @@ class JsonReport {
     fields_.emplace_back(key, std::to_string(value));
   }
   void add_string(const std::string& key, const std::string& value) {
-    fields_.emplace_back(key, "\"" + escaped(value) + "\"");
+    fields_.emplace_back(key, "\"" + obs::escaped(value) + "\"");
   }
   /// Embeds an already-serialized JSON value verbatim (e.g. the final
   /// obs::to_json metrics snapshot) — the caller vouches for validity.
@@ -87,7 +88,8 @@ class JsonReport {
   [[nodiscard]] std::string to_string() const {
     std::string out = "{\n";
     for (std::size_t i = 0; i < fields_.size(); ++i) {
-      out += "  \"" + escaped(fields_[i].first) + "\": " + fields_[i].second;
+      out += "  \"" + obs::escaped(fields_[i].first) +
+             "\": " + fields_[i].second;
       if (i + 1 < fields_.size()) out += ",";
       out += "\n";
     }
@@ -104,24 +106,6 @@ class JsonReport {
   }
 
  private:
-  static std::string escaped(const std::string& text) {
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-      if (c == '"' || c == '\\') {
-        out.push_back('\\');
-        out.push_back(c);
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-        out += buf;
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }
-
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 

@@ -81,9 +81,9 @@ int main(int argc, char** argv) {
   const double oracle_s = time_reps(1, [&] {
     (void)bmp::flow::scheme_throughput_oracle(solution.scheme);
   });
-  bmp::flow::VerifyOptions profiled_options;
-  profiled_options.profiler = cli.profiler();
-  bmp::flow::Verifier verifier(profiled_options);
+  bmp::obs::Hooks hooks;
+  hooks.profiler = cli.profiler();
+  bmp::flow::Verifier verifier({}, hooks);
   const double sweep_s = time_reps(quick ? 50 : 100, [&] {
     (void)verifier.verify(solution.scheme);
   });
@@ -115,9 +115,7 @@ int main(int argc, char** argv) {
   const double cyclic_oracle_s = time_reps(1, [&] {
     (void)bmp::flow::scheme_throughput_oracle(cyclic);
   });
-  bmp::flow::VerifyOptions cyclic_options;
-  cyclic_options.profiler = cli.profiler();
-  bmp::flow::Verifier cyclic_verifier(cyclic_options);
+  bmp::flow::Verifier cyclic_verifier({}, hooks);
   const double cut_s = time_reps(quick ? 5 : 10, [&] {
     (void)cyclic_verifier.verify(cyclic);
   });

@@ -65,8 +65,9 @@ int main(int argc, char** argv) {
   //    repeated LastMile estimates of the same platform would look.
   engine::PlannerConfig planner_config;
   planner_config.fingerprint_bucket = 1e-3;
-  planner_config.profiler = cli.profiler();
-  engine::Planner planner(planner_config);
+  obs::Hooks hooks;
+  hooks.profiler = cli.profiler();
+  engine::Planner planner(planner_config, hooks);
 
   std::vector<engine::PlanRequest> stream;
   for (int r = 0; r < 200; ++r) {

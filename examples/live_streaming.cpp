@@ -97,9 +97,10 @@ int main(int argc, char** argv) {
   exec_config.total_chunks = 240;
   exec_config.emission_rate = sol.throughput;
   exec_config.warmup_chunks = 48;
-  exec_config.profiler = cli.profiler();
   exec_config.collect_latencies = !cli.metrics.empty();
-  bmp::dataplane::Execution exec(swarm, sol.scheme, exec_config);
+  bmp::obs::Hooks hooks;
+  hooks.profiler = cli.profiler();
+  bmp::dataplane::Execution exec(swarm, sol.scheme, exec_config, hooks);
   exec.run_to_completion();
   const bmp::dataplane::ExecutionReport clean = exec.report(sol.throughput);
   std::cout << "\nchunk execution (lossless): achieved "
@@ -118,7 +119,7 @@ int main(int argc, char** argv) {
   // links. Retransmits burn upload the fluid model never accounted for.
   exec_config.loss_rate = 0.02;
   exec_config.latency = 0.03;
-  bmp::dataplane::Execution wan(swarm, sol.scheme, exec_config);
+  bmp::dataplane::Execution wan(swarm, sol.scheme, exec_config, hooks);
   wan.run_to_completion();
   const bmp::dataplane::ExecutionReport noisy = wan.report(sol.throughput);
   std::cout << "chunk execution (2% loss, 30ms): achieved "

@@ -8,7 +8,7 @@
 
 namespace bmp::control {
 
-Controller::Controller(ControllerConfig config) : config_(config) {
+void check_config(const ControllerConfig& config) {
   if (!(config.sample_interval > 0.0) || !std::isfinite(config.sample_interval)) {
     throw std::invalid_argument("Controller: sample_interval must be > 0");
   }
@@ -37,6 +37,10 @@ Controller::Controller(ControllerConfig config) : config_(config) {
   (void)HysteresisDetector(config.straggler);
   (void)HysteresisDetector(config.egress);
   (void)HysteresisDetector(config.edge);
+}
+
+Controller::Controller(ControllerConfig config) : config_(config) {
+  check_config(config);
 }
 
 double Controller::quantize(double value) const {

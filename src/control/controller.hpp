@@ -173,6 +173,10 @@ struct NodeHealth {
   int stale_windows = 0;  ///< consecutive frozen windows (blackout length)
 };
 
+/// Throws std::invalid_argument on an out-of-range field; the Controller
+/// constructor and the runtime (before its first control tick) run it.
+void check_config(const ControllerConfig& config);
+
 class Controller {
  public:
   explicit Controller(ControllerConfig config = {});

@@ -14,8 +14,9 @@ namespace bmp::dataplane {
 namespace {
 /// Chunk-lifecycle sampling gate: id stride keeps sampled chunks traceable
 /// end to end (every hop of chunk k appears, or none of them).
-bool traced_chunk(const ExecutionConfig& config, int chunk) {
-  return config.trace != nullptr && config.trace_sample > 0 &&
+bool traced_chunk(const obs::Hooks& hooks, const ExecutionConfig& config,
+                  int chunk) {
+  return hooks.trace != nullptr && config.trace_sample > 0 &&
          chunk % config.trace_sample == 0;
 }
 /// Below this a pipe rate is treated as edge removal (mirrors the scheme's
@@ -33,7 +34,8 @@ constexpr double kRerateRestartFactor = 2.0;
 constexpr int kIndexProbeBudget = 96;
 }  // namespace
 
-Execution::Execution(ExecutionConfig config) : config_(config) {
+Execution::Execution(ExecutionConfig config, obs::Hooks hooks)
+    : config_(config), hooks_(hooks) {
   if (!(config_.chunk_size > 0.0) || !std::isfinite(config_.chunk_size)) {
     throw std::invalid_argument("Execution: chunk_size must be > 0");
   }
@@ -76,8 +78,8 @@ Execution::Execution(ExecutionConfig config) : config_(config) {
 }
 
 Execution::Execution(const Instance& instance, const BroadcastScheme& scheme,
-                     ExecutionConfig config)
-    : Execution(config) {
+                     ExecutionConfig config, obs::Hooks hooks)
+    : Execution(config, hooks) {
   if (scheme.num_nodes() != instance.size()) {
     throw std::invalid_argument("Execution: instance/scheme size mismatch");
   }
@@ -618,7 +620,7 @@ void Execution::run_until(double t) {
     ++events;
   }
   now_ = t;
-  if (config_.profiler != nullptr) flush_profile(events);
+  if (hooks_.profiler != nullptr) flush_profile(events);
 }
 
 void Execution::run_to_completion() {
@@ -634,11 +636,11 @@ void Execution::run_to_completion() {
     process(event);
     ++events;
   }
-  if (config_.profiler != nullptr) flush_profile(events);
+  if (hooks_.profiler != nullptr) flush_profile(events);
 }
 
 void Execution::flush_profile(std::uint64_t events) {
-  obs::Profiler& prof = *config_.profiler;
+  obs::Profiler& prof = *hooks_.profiler;
   ProfileMark& mark = profile_mark_;
   prof.enter("dataplane/advance");
   prof.count("dataplane/advance", "events", events);
@@ -700,14 +702,14 @@ void Execution::emit_chunks() {
     replicas_.push_back(source.alive ? 1 : 0);
     rarity_insert(chunk, replicas_.back());
     set_bit(source.have, chunk);
-    if (config_.lineage != nullptr) {
-      config_.lineage->record_emit(config_.trace_id, origin_, chunk, now_);
+    if (hooks_.lineage != nullptr) {
+      hooks_.lineage->record_emit(config_.trace_id, origin_, chunk, now_);
     }
-    if (traced_chunk(config_, chunk)) {
-      config_.trace->instant_at(obs::Lane::kExecution, "dataplane", "emit",
-                                now_,
-                                {{"channel", config_.trace_id},
-                                 {"chunk", chunk}});
+    if (traced_chunk(hooks_, config_, chunk)) {
+      hooks_.trace->instant_at(obs::Lane::kExecution, "dataplane", "emit",
+                               now_,
+                               {{"channel", config_.trace_id},
+                                {"chunk", chunk}});
     }
   }
   activate_sender(origin_);
@@ -740,7 +742,7 @@ void Execution::on_arrival(const ChunkEvent& event) {
   const auto flight =
       std::find(pipe.in_flight.begin(), pipe.in_flight.end(), event.chunk);
   LineagePending pending;
-  if (config_.lineage != nullptr) {
+  if (hooks_.lineage != nullptr) {
     const auto index = flight - pipe.in_flight.begin();
     pending = pipe.lineage_inflight[static_cast<std::size_t>(index)];
     pipe.lineage_inflight.erase(pipe.lineage_inflight.begin() + index);
@@ -764,7 +766,7 @@ void Execution::on_arrival(const ChunkEvent& event) {
     // The loss notice re-opens the chunk for scheduling; every loss leads
     // to exactly one fresh transmission attempt somewhere.
     ++retransmits_;
-    if (config_.lineage != nullptr) {
+    if (hooks_.lineage != nullptr) {
       const auto [retry, inserted] =
           lineage_retry_.try_emplace(lineage_key(receiver_id, event.chunk));
       if (inserted) {
@@ -777,13 +779,13 @@ void Execution::on_arrival(const ChunkEvent& event) {
       ++retry->second.count;
       retry->second.wasted += now_ - pending.start;
     }
-    if (traced_chunk(config_, event.chunk)) {
-      config_.trace->instant_at(obs::Lane::kExecution, "dataplane",
-                                checksum_failed ? "corrupt" : "loss", now_,
-                                {{"channel", config_.trace_id},
-                                 {"chunk", event.chunk},
-                                 {"from", pipe.from},
-                                 {"to", receiver_id}});
+    if (traced_chunk(hooks_, config_, event.chunk)) {
+      hooks_.trace->instant_at(obs::Lane::kExecution, "dataplane",
+                               checksum_failed ? "corrupt" : "loss", now_,
+                               {{"channel", config_.trace_id},
+                                {"chunk", event.chunk},
+                                {"from", pipe.from},
+                                {"to", receiver_id}});
     }
     activate_receiver(receiver_id);
     return;
@@ -802,8 +804,8 @@ void Execution::on_arrival(const ChunkEvent& event) {
     ++corrupted_accepted_;
   }
   deliver(receiver, receiver_id, event.chunk);
-  if (config_.lineage != nullptr) {
-    const bool kept = config_.lineage->record_hop(
+  if (hooks_.lineage != nullptr) {
+    const bool kept = hooks_.lineage->record_hop(
         config_.trace_id, pipe.from, receiver_id, event.chunk, pending.start,
         now_, pending.hol, pending.overtake);
     // Per-receiver outstanding-retry counter keeps the common (no prior
@@ -814,8 +816,8 @@ void Execution::on_arrival(const ChunkEvent& event) {
           lineage_retry_.find(lineage_key(receiver_id, event.chunk));
       if (retry != lineage_retry_.end()) {
         if (kept && retry->second.count > 0) {
-          config_.lineage->record_hop_retry(retry->second.count,
-                                            retry->second.wasted);
+          hooks_.lineage->record_hop_retry(retry->second.count,
+                                           retry->second.wasted);
         }
         --lineage_retry_nodes_[receiver_id];
         lineage_retry_.erase(retry);
@@ -832,13 +834,13 @@ void Execution::deliver(Node& node, int node_id, int chunk) {
   const int replicas = ++replicas_[static_cast<std::size_t>(chunk)];
   rarity_move(chunk, replicas - 1, replicas);
   ++delivered_chunks_;
-  if (traced_chunk(config_, chunk)) {
-    config_.trace->instant_at(obs::Lane::kExecution, "dataplane", "deliver",
-                              now_,
-                              {{"channel", config_.trace_id},
-                               {"chunk", chunk},
-                               {"node", node_id},
-                               {"replicas", replicas}});
+  if (traced_chunk(hooks_, config_, chunk)) {
+    hooks_.trace->instant_at(obs::Lane::kExecution, "dataplane", "deliver",
+                             now_,
+                             {{"channel", config_.trace_id},
+                              {"chunk", chunk},
+                              {"node", node_id},
+                              {"replicas", replicas}});
   }
   while (node.next_missing < emitted_ && bit(node.have, node.next_missing)) {
     ++node.next_missing;
@@ -938,7 +940,7 @@ void Execution::try_send(int pipe_slot) {
   Node& receiver = nodes_[static_cast<std::size_t>(pipe.to)];
   if (!sender.alive || !receiver.alive) return;
   ++pipe.attempts;
-  if (config_.profiler != nullptr) ++sched_attempts_;
+  if (hooks_.profiler != nullptr) ++sched_attempts_;
   // Backpressure: the effective window grants at least one outstanding
   // chunk per in-pipe so a wide fan-in is never throttled structurally.
   const int window = std::max(config_.receiver_window,
@@ -981,19 +983,19 @@ void Execution::try_send(int pipe_slot) {
   if (!indexed) {
     pick_linear(sender, receiver, my_eta, rescue, start, end, best, overtake);
   }
-  if (config_.profiler != nullptr) {
+  if (hooks_.profiler != nullptr) {
     indexed ? ++sched_index_picks_ : ++sched_linear_scans_;
   }
   const bool used_overtake = best < 0 && overtake >= 0;
   if (best < 0) best = overtake;
   if (best < 0) {
     ++pipe.no_chunk;
-    if (config_.profiler != nullptr) ++sched_no_chunk_;
+    if (hooks_.profiler != nullptr) ++sched_no_chunk_;
     return;
   }
   pipe.busy = true;
   pipe.in_flight.push_back(best);
-  if (config_.lineage != nullptr) {
+  if (hooks_.lineage != nullptr) {
     // HOL flag: this pipe ate at least one window stall since its last
     // successful claim — the chunk spent scheduler time blocked, not queued.
     LineagePending pending;
@@ -1225,9 +1227,9 @@ std::vector<std::string> Execution::validate(double tol) const {
                            std::to_string(key.first));
     }
   }
-  if (!violations.empty() && config_.recorder != nullptr) {
-    config_.recorder->record_failure(now_, config_.trace_id,
-                                     "Execution::validate", violations);
+  if (!violations.empty() && hooks_.recorder != nullptr) {
+    hooks_.recorder->record_failure(now_, config_.trace_id,
+                                    "Execution::validate", violations);
   }
   return violations;
 }

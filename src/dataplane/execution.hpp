@@ -47,14 +47,8 @@
 #include "bmp/core/scheme.hpp"
 #include "bmp/dataplane/event_queue.hpp"
 #include "bmp/dataplane/link_profile.hpp"
+#include "bmp/obs/hooks.hpp"
 #include "bmp/util/rng.hpp"
-
-namespace bmp::obs {
-class Profiler;
-class TraceSink;
-class FlightRecorder;
-class LineageSink;
-}  // namespace bmp::obs
 
 namespace bmp::dataplane {
 
@@ -133,27 +127,10 @@ struct ExecutionConfig {
   /// and *forwarded corrupted* (counted in corrupted_accepted()) — the
   /// frozen-comparison failure mode the chaos tests contrast against.
   bool verify_payloads = false;
-  /// Sampled chunk-lifecycle tracing (null = off): chunks whose id is a
-  /// multiple of `trace_sample` log their emission, losses and every
-  /// delivery as instant events on the execution lane — enough to follow a
-  /// chunk through the overlay without one event per delivery.
-  obs::TraceSink* trace = nullptr;
-  int trace_sample = 64;  ///< chunk-id sampling stride; <= 0 disables
-  /// Flight recorder for validate() failures: each violation is recorded
-  /// and the recorder's configured dump is written (null = off).
-  obs::FlightRecorder* recorder = nullptr;
-  int trace_id = -1;  ///< channel label in trace/recorder output
-  /// Performance attribution (null = off): event/delivery counters under
-  /// "dataplane/advance" and scheduler pick telemetry under
-  /// "dataplane/scheduler", flushed once per run_until — the per-event hot
-  /// path never touches the profiler, and pays one predictable branch per
-  /// site when profiling is off.
-  obs::Profiler* profiler = nullptr;
-  /// Chunk lineage (null = off): every delivery records a hop (edge, the
-  /// enqueue/start/finish scenario times, retransmit count, HOL-stall and
-  /// overtake flags) into the sink — the delivery DAG the critical-path
-  /// analyzer walks. Disabled, each delivery pays one branch.
-  obs::LineageSink* lineage = nullptr;
+  /// Traced chunks: those whose id is a multiple of this stride log their
+  /// emission, losses and every delivery (<= 0 disables).
+  int trace_sample = 64;
+  int trace_id = -1;  ///< channel label in trace/recorder/lineage output
 };
 
 /// Per-node outcome of a run (ids are Execution node ids; node 0 = source).
@@ -215,11 +192,27 @@ struct EdgeStats {
 
 class Execution {
  public:
-  explicit Execution(ExecutionConfig config);
+  /// The sinks this stream instruments:
+  ///   hooks.trace     sampled chunk lifecycle (ExecutionConfig::
+  ///                   trace_sample) as instants on the execution lane —
+  ///                   enough to follow a chunk through the overlay
+  ///                   without one event per delivery;
+  ///   hooks.recorder  every validate() violation, plus the recorder's
+  ///                   configured dump;
+  ///   hooks.profiler  event/delivery counters under "dataplane/advance"
+  ///                   and scheduler pick telemetry under
+  ///                   "dataplane/scheduler", flushed once per run_until —
+  ///                   the per-event hot path never touches the profiler;
+  ///   hooks.lineage   one hop per delivery (edge, enqueue/start/finish
+  ///                   times, retransmit count, HOL-stall and overtake
+  ///                   flags) — the delivery DAG the critical-path analyzer
+  ///                   walks.
+  /// Each disabled sink costs one predictable branch per site.
+  explicit Execution(ExecutionConfig config, obs::Hooks hooks = {});
   /// Convenience: node k of `scheme`/`instance` becomes Execution node k
   /// (budgets from the instance, pipes from the scheme's edges).
   Execution(const Instance& instance, const BroadcastScheme& scheme,
-            ExecutionConfig config);
+            ExecutionConfig config, obs::Hooks hooks = {});
 
   // ------------------------------------------------------- live topology
   /// Adds a node and returns its id; the first node added is the source.
@@ -399,7 +392,7 @@ class Execution {
     std::vector<int> in;   ///< pipe slots, kept sorted by sender id
   };
   /// Lineage bookkeeping for one pending transmission (filled iff
-  /// config_.lineage != nullptr): when the successful attempt started and
+  /// hooks_.lineage != nullptr): when the successful attempt started and
   /// what the scheduler saw when it claimed the chunk.
   struct LineagePending {
     double start = 0.0;
@@ -421,7 +414,7 @@ class Execution {
     /// generation bump strands the queued arrivals.
     std::vector<int> in_flight;
     /// Parallel to in_flight, same indices (maintained iff
-    /// config_.lineage != nullptr): per-transmission lineage state. A
+    /// hooks_.lineage != nullptr): per-transmission lineage state. A
     /// vector, not a map — the hot path must not hash or allocate.
     std::vector<LineagePending> lineage_inflight;
     /// window_stalls watermark at this pipe's last successful claim; a
@@ -483,6 +476,7 @@ class Execution {
   void write_off_chunk(int chunk);
 
   ExecutionConfig config_;
+  obs::Hooks hooks_;
   EventQueue queue_;
   double now_ = 0.0;
   int emitted_ = 0;
@@ -534,7 +528,7 @@ class Execution {
   /// path skip the hash lookup for receivers with no pending retry tally.
   std::vector<std::uint16_t> lineage_retry_nodes_;
 
-  // Profiling only (maintained iff config_.profiler != nullptr): scheduler
+  // Profiling only (maintained iff hooks_.profiler != nullptr): scheduler
   // pick telemetry plus the last-flushed counter snapshot, so run_until
   // records deltas without per-event profiler calls.
   std::uint64_t sched_attempts_ = 0;

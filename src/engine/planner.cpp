@@ -136,7 +136,7 @@ PlanResponse Planner::plan_verified(const Instance& instance,
   // The compute scope covers construction *and* verification; both the
   // one-shot path and the plan_batch workers land here, so the profiler's
   // "computed" counter equals the cache-miss count for any thread count.
-  obs::PhaseScope scope(config_.profiler, "planner/compute");
+  obs::PhaseScope scope(hooks_.profiler, "planner/compute");
   PlanResponse response = plan_uncached(instance, algorithm, max_out_degree);
   if (config_.verify_plans && response.scheme != nullptr &&
       response.scheme->num_nodes() > 1) {
@@ -145,28 +145,29 @@ PlanResponse Planner::plan_verified(const Instance& instance,
     const flow::VerifyResult verified = flow::verify_throughput(*response.scheme);
     response.verified_throughput = verified.throughput;
     response.verified_tier = verified.tier;
-    if (config_.profiler != nullptr) {
-      config_.profiler->enter("planner/compute/verify");
-      config_.profiler->count("planner/compute/verify",
-                              verified.tier == flow::VerifyTier::kAcyclicSweep
-                                  ? "tier1_sweeps"
-                                  : "tier2_verifies");
+    if (hooks_.profiler != nullptr) {
+      hooks_.profiler->enter("planner/compute/verify");
+      hooks_.profiler->count("planner/compute/verify",
+                             verified.tier == flow::VerifyTier::kAcyclicSweep
+                                 ? "tier1_sweeps"
+                                 : "tier2_verifies");
       if (verified.maxflow_solves > 0) {
-        config_.profiler->count(
+        hooks_.profiler->count(
             "planner/compute/verify", "solves",
             static_cast<std::uint64_t>(verified.maxflow_solves));
-        config_.profiler->count("planner/compute/verify", "pushes",
-                                verified.pushes);
-        config_.profiler->count("planner/compute/verify", "relabels",
-                                verified.relabels);
+        hooks_.profiler->count("planner/compute/verify", "pushes",
+                               verified.pushes);
+        hooks_.profiler->count("planner/compute/verify", "relabels",
+                               verified.relabels);
       }
     }
   }
   return response;
 }
 
-Planner::Planner(PlannerConfig config)
+Planner::Planner(PlannerConfig config, obs::Hooks hooks)
     : config_(config),
+      hooks_(hooks),
       cache_(std::make_unique<PlanCache>(config.cache_capacity,
                                          config.cache_shards)),
       pool_(std::make_unique<util::ThreadPool>(config.threads)) {}
@@ -214,33 +215,33 @@ PlanResponse Planner::plan(const Instance& instance, Algorithm algorithm,
   if (std::shared_ptr<const PlanResponse> cached = cache_->lookup(key)) {
     PlanResponse response = *cached;
     response.cache_hit = true;
-    if (config_.profiler != nullptr) {
-      config_.profiler->enter("planner/plan");
-      config_.profiler->count("planner/plan", "cache_hits");
+    if (hooks_.profiler != nullptr) {
+      hooks_.profiler->enter("planner/plan");
+      hooks_.profiler->count("planner/plan", "cache_hits");
     }
-    if (config_.trace != nullptr) {
-      config_.trace->complete(obs::Lane::kPlanner, "engine", "plan",
-                              {{"alg", to_string(algorithm)},
-                               {"n", instance.size()},
-                               {"cache_hit", true},
-                               {"throughput", response.throughput}});
+    if (hooks_.trace != nullptr) {
+      hooks_.trace->complete(obs::Lane::kPlanner, "engine", "plan",
+                             {{"alg", to_string(algorithm)},
+                              {"n", instance.size()},
+                              {"cache_hit", true},
+                              {"throughput", response.throughput}});
     }
     return response;
   }
-  if (config_.profiler != nullptr) {
-    config_.profiler->enter("planner/plan");
-    config_.profiler->count("planner/plan", "cache_misses");
+  if (hooks_.profiler != nullptr) {
+    hooks_.profiler->enter("planner/plan");
+    hooks_.profiler->count("planner/plan", "cache_misses");
   }
-  const obs::WallTimer timer(config_.trace);
+  const obs::WallTimer timer(hooks_.trace);
   PlanResponse response = plan_verified(instance, algorithm, max_out_degree);
   cache_->insert(key, std::make_shared<const PlanResponse>(response));
-  if (config_.trace != nullptr) {
-    config_.trace->complete(obs::Lane::kPlanner, "engine", "plan",
-                            {{"alg", to_string(response.algorithm)},
-                             {"n", instance.size()},
-                             {"cache_hit", false},
-                             {"throughput", response.throughput}},
-                            timer.elapsed_us());
+  if (hooks_.trace != nullptr) {
+    hooks_.trace->complete(obs::Lane::kPlanner, "engine", "plan",
+                           {{"alg", to_string(response.algorithm)},
+                            {"n", instance.size()},
+                            {"cache_hit", false},
+                            {"throughput", response.throughput}},
+                           timer.elapsed_us());
   }
   return response;
 }
@@ -285,14 +286,14 @@ std::vector<PlanResponse> Planner::plan_batch(
     item.from_cache = item.plan != nullptr;
   }
 
-  const obs::WallTimer batch_timer(config_.trace);
+  const obs::WallTimer batch_timer(hooks_.trace);
   util::parallel_for(
       *pool_, 0, work.size(),
       [&](std::size_t w) {
         WorkItem& item = work[w];
         if (item.plan != nullptr) return;
         const PlanRequest& request = requests[item.first_index];
-        const obs::WallTimer timer(config_.trace);
+        const obs::WallTimer timer(hooks_.trace);
         auto plan = std::make_shared<const PlanResponse>(plan_verified(
             request.instance, request.algorithm, request.max_out_degree));
         item.wall_us = timer.elapsed_us();
@@ -301,7 +302,7 @@ std::vector<PlanResponse> Planner::plan_batch(
       },
       /*chunk=*/1);
 
-  if (config_.profiler != nullptr) {
+  if (hooks_.profiler != nullptr) {
     // Post-barrier, like the trace spans: batch totals are recorded once
     // from this thread (the per-item compute/verify counters were summed
     // commutatively by the workers).
@@ -309,14 +310,14 @@ std::vector<PlanResponse> Planner::plan_batch(
     for (const WorkItem& item : work) {
       if (item.from_cache) ++cached;
     }
-    config_.profiler->enter("planner/plan_batch");
-    config_.profiler->count("planner/plan_batch", "requests", requests.size());
-    config_.profiler->count("planner/plan_batch", "distinct", work.size());
-    config_.profiler->count("planner/plan_batch", "cache_hits", cached);
-    config_.profiler->count("planner/plan_batch", "computed",
-                            work.size() - cached);
+    hooks_.profiler->enter("planner/plan_batch");
+    hooks_.profiler->count("planner/plan_batch", "requests", requests.size());
+    hooks_.profiler->count("planner/plan_batch", "distinct", work.size());
+    hooks_.profiler->count("planner/plan_batch", "cache_hits", cached);
+    hooks_.profiler->count("planner/plan_batch", "computed",
+                           work.size() - cached);
   }
-  if (config_.trace != nullptr) {
+  if (hooks_.trace != nullptr) {
     // Emitted after the barrier, from this thread, in work-item order:
     // append order (and the sequence numbers) never depends on which
     // worker finished first.
@@ -324,7 +325,7 @@ std::vector<PlanResponse> Planner::plan_batch(
     for (const WorkItem& item : work) {
       if (!item.from_cache) ++computed;
     }
-    config_.trace->complete(
+    hooks_.trace->complete(
         obs::Lane::kPlanner, "engine", "plan_batch",
         {{"requests", static_cast<std::uint64_t>(requests.size())},
          {"distinct", static_cast<std::uint64_t>(work.size())},
@@ -332,12 +333,12 @@ std::vector<PlanResponse> Planner::plan_batch(
         batch_timer.elapsed_us());
     for (const WorkItem& item : work) {
       const PlanRequest& request = requests[item.first_index];
-      config_.trace->complete(obs::Lane::kPlanner, "engine", "plan",
-                              {{"alg", to_string(item.plan->algorithm)},
-                               {"n", request.instance.size()},
-                               {"cache_hit", item.from_cache},
-                               {"throughput", item.plan->throughput}},
-                              item.wall_us);
+      hooks_.trace->complete(obs::Lane::kPlanner, "engine", "plan",
+                             {{"alg", to_string(item.plan->algorithm)},
+                              {"n", request.instance.size()},
+                              {"cache_hit", item.from_cache},
+                              {"throughput", item.plan->throughput}},
+                             item.wall_us);
     }
   }
 

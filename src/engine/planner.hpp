@@ -17,15 +17,11 @@
 #include "bmp/core/scheme.hpp"
 #include "bmp/engine/fingerprint.hpp"
 #include "bmp/flow/verify.hpp"
+#include "bmp/obs/hooks.hpp"
 
 namespace bmp::util {
 class ThreadPool;
 }  // namespace bmp::util
-
-namespace bmp::obs {
-class Profiler;
-class TraceSink;
-}  // namespace bmp::obs
 
 namespace bmp::engine {
 
@@ -81,7 +77,7 @@ class PlannerUnavailable : public std::runtime_error {
 };
 
 /// Fault-injection hook for planner outages — same null-by-default
-/// convention as the obs:: hooks. The owner (the runtime, or a test)
+/// convention as obs::Hooks. The owner (the runtime, or a test)
 /// toggles `down`; while set, every cached plan() entry point throws
 /// PlannerUnavailable and counts the refusal. plan_uncached stays pure —
 /// outages model the *service* failing, not the algorithms.
@@ -99,23 +95,19 @@ struct PlannerConfig {
   /// before caching it. Near-free since the tiered verifier sweeps the
   /// acyclic constructions in O(V + E) with zero max-flow solves.
   bool verify_plans = true;
-  /// Span per plan()/plan_batch() (null = off). Worker threads never touch
-  /// the sink: plan_batch emits its per-item spans after the pool barrier
-  /// in work-item index order, so the trace is byte-identical for any
-  /// thread count.
-  obs::TraceSink* trace = nullptr;
-  /// Performance attribution (null = off): cache hits/misses, computed
-  /// plans and their verification work under "planner/...". Worker threads
-  /// record commutative counter sums, so reports are byte-identical for
-  /// any thread count (wall time only when the profiler opted in).
-  obs::Profiler* profiler = nullptr;
   /// Planner-failure injection (null = no outages ever).
   PlannerOutage* outage = nullptr;
 };
 
 class Planner {
  public:
-  explicit Planner(PlannerConfig config = {});
+  /// `hooks.trace`: a span per plan()/plan_batch(). Worker threads never
+  /// touch the sink: plan_batch emits its per-item spans after the pool
+  /// barrier in work-item index order, so the trace is byte-identical for
+  /// any thread count. `hooks.profiler`: cache hits/misses, computed plans
+  /// and their verification work under "planner/..."; worker threads
+  /// record commutative counter sums. The pool's verifiers stay untraced.
+  explicit Planner(PlannerConfig config = {}, obs::Hooks hooks = {});
   ~Planner();
 
   Planner(const Planner&) = delete;
@@ -175,6 +167,7 @@ class Planner {
                                            int max_out_degree) const;
 
   PlannerConfig config_;
+  obs::Hooks hooks_;
   std::unique_ptr<PlanCache> cache_;
   std::unique_ptr<util::ThreadPool> pool_;
 };

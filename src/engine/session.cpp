@@ -204,12 +204,14 @@ RepairResult repair_scheme(const Instance& survivors,
   return result;
 }
 
-Session::Session(Planner& planner, Instance instance, SessionConfig config)
+Session::Session(Planner& planner, Instance instance, SessionConfig config,
+                 obs::Hooks hooks)
     : planner_(planner),
       config_(config),
+      hooks_(hooks),
       instance_(std::move(instance)),
       instance_fp_(instance_, planner.config().fingerprint_bucket),
-      verifier_(config.verify) {
+      verifier_(config.verify, hooks) {
   if (config_.replan_threshold < 0.0 || config_.replan_threshold > 1.0) {
     throw std::invalid_argument("Session: replan_threshold in [0,1]");
   }
@@ -264,22 +266,22 @@ void Session::rescale(double factor) {
 
 void Session::trace_churn(const char* name, const ChurnOutcome& outcome,
                           double wall_us) const {
-  if (config_.trace == nullptr) return;
-  config_.trace->complete(obs::Lane::kSession, "engine", name,
-                          {{"channel", config_.trace_id},
-                           {"departed", outcome.departed},
-                           {"survivors", outcome.survivors},
-                           {"degraded_rate", outcome.degraded_rate},
-                           {"repaired_rate", outcome.repaired_rate},
-                           {"achieved_rate", outcome.achieved_rate},
-                           {"full_replan", outcome.full_replan},
-                           {"planner_fault", outcome.planner_fault},
-                           {"verify_calls", outcome.verify_calls}},
-                          wall_us);
+  if (hooks_.trace == nullptr) return;
+  hooks_.trace->complete(obs::Lane::kSession, "engine", name,
+                         {{"channel", config_.trace_id},
+                          {"departed", outcome.departed},
+                          {"survivors", outcome.survivors},
+                          {"degraded_rate", outcome.degraded_rate},
+                          {"repaired_rate", outcome.repaired_rate},
+                          {"achieved_rate", outcome.achieved_rate},
+                          {"full_replan", outcome.full_replan},
+                          {"planner_fault", outcome.planner_fault},
+                          {"verify_calls", outcome.verify_calls}},
+                         wall_us);
 }
 
 ChurnOutcome Session::adapt(const AdaptationRequest& request) {
-  const obs::WallTimer timer(config_.trace);
+  const obs::WallTimer timer(hooks_.trace);
   ChurnOutcome outcome;
   outcome.design_rate = design_rate_;
   const int size = instance_.size();
@@ -457,7 +459,7 @@ ChurnOutcome Session::adapt(const AdaptationRequest& request) {
 }
 
 ChurnOutcome Session::on_departure(const std::vector<int>& departed) {
-  const obs::WallTimer timer(config_.trace);
+  const obs::WallTimer timer(hooks_.trace);
   ChurnOutcome outcome;
   outcome.design_rate = design_rate_;
   if (departed.empty()) {

@@ -17,10 +17,7 @@
 #include "bmp/core/scheme.hpp"
 #include "bmp/engine/planner.hpp"
 #include "bmp/flow/verify.hpp"
-
-namespace bmp::obs {
-class TraceSink;
-}  // namespace bmp::obs
+#include "bmp/obs/hooks.hpp"
 
 namespace bmp::engine {
 
@@ -58,12 +55,10 @@ struct SessionConfig {
   /// kAcyclic by default: its DAG structure is what repair patches best.
   Algorithm algorithm = Algorithm::kAcyclic;
   int max_out_degree = 0;
-  /// Options for the session-owned verification engine (timing collection,
-  /// parallel sweep pool, tier forcing).
+  /// Options for the session-owned verification engine (timing
+  /// collection, tier forcing).
   flow::VerifyOptions verify{};
-  /// Span per repair/adapt outcome (null = off); `trace_id` labels the
-  /// channel this session serves in multi-channel hosts.
-  obs::TraceSink* trace = nullptr;
+  /// Labels the channel this session serves in its trace spans.
   int trace_id = -1;
 };
 
@@ -114,7 +109,10 @@ class Session {
   /// session). `instance` carries the per-node upload caps the session plans
   /// against — a broker that partitions node budgets across sessions hands
   /// each one a scaled instance rather than the full platform.
-  Session(Planner& planner, Instance instance, SessionConfig config = {});
+  /// `hooks.trace`: a span per repair/adapt outcome. The session's own
+  /// verifier gets the same hooks (its spans and "verify/..." counters).
+  Session(Planner& planner, Instance instance, SessionConfig config = {},
+          obs::Hooks hooks = {});
 
   [[nodiscard]] const Instance& instance() const { return instance_; }
   [[nodiscard]] const BroadcastScheme& scheme() const { return *scheme_; }
@@ -174,6 +172,7 @@ class Session {
 
   Planner& planner_;
   SessionConfig config_;
+  obs::Hooks hooks_;
   Instance instance_;
   /// The platform fingerprint, maintained incrementally: O(1) per departed
   /// node instead of rehashing every survivor bandwidth on each churn

@@ -104,8 +104,8 @@ VerifyResult Verifier::verify(const BroadcastScheme& scheme) {
     ++stats_.tier_maxflow;
   }
   stats_.maxflow_solves += static_cast<std::uint64_t>(result.maxflow_solves);
-  if (options_.profiler != nullptr) {
-    obs::Profiler& profiler = *options_.profiler;
+  if (hooks_.profiler != nullptr) {
+    obs::Profiler& profiler = *hooks_.profiler;
     switch (result.tier) {
       case VerifyTier::kAcyclicSweep:
         profiler.enter("verify/tier1_sweep");
@@ -131,10 +131,10 @@ VerifyResult Verifier::verify(const BroadcastScheme& scheme) {
                          .count();
     stats_.total_us += stats_.last_us;
   }
-  if (options_.trace != nullptr) {
+  if (hooks_.trace != nullptr) {
     const double wall_us =
         options_.collect_timing ? stats_.last_us : -1.0;
-    options_.trace->complete(
+    hooks_.trace->complete(
         obs::Lane::kVerify, "flow", "verify",
         {{"tier", to_string(result.tier)},
          {"n", scheme.num_nodes()},

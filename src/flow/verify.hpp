@@ -31,11 +31,7 @@
 
 #include "bmp/core/scheme.hpp"
 #include "bmp/flow/maxflow.hpp"
-
-namespace bmp::obs {
-class Profiler;
-class TraceSink;
-}  // namespace bmp::obs
+#include "bmp/obs/hooks.hpp"
 
 namespace bmp::flow {
 
@@ -78,16 +74,6 @@ struct VerifyOptions {
   /// Collect wall-clock timings into stats() (two steady_clock reads per
   /// verify; the measurement itself never affects the returned value).
   bool collect_timing = true;
-  /// Emit one span per verify (tier, solves, throughput). Only set this on
-  /// verifiers that run on the event-loop thread — the thread-local
-  /// verifiers inside the planner pool stay untraced so trace append order
-  /// is independent of thread count.
-  obs::TraceSink* trace = nullptr;
-  /// Performance attribution (null = off): per-tier phase counters —
-  /// nodes, solves, pushes, relabels, BFS rounds — under "verify/...". Safe
-  /// on any thread (counter sums are commutative); wall time rides along
-  /// only when the profiler opted in *and* collect_timing is on.
-  obs::Profiler* profiler = nullptr;
 };
 
 /// Reusable verification engine: owns the topological/inflow scratch and
@@ -96,7 +82,14 @@ struct VerifyOptions {
 /// high-water-mark growth.
 class Verifier {
  public:
-  explicit Verifier(VerifyOptions options = {}) : options_(options) {}
+  /// `hooks.trace`: one span per verify (tier, solves, throughput). Only
+  /// hand it to verifiers that run on the event-loop thread — the
+  /// thread-local verifiers inside the planner pool stay untraced so trace
+  /// append order is independent of thread count. `hooks.profiler`:
+  /// per-tier phase counters under "verify/..."; safe on any thread
+  /// (counter sums are commutative).
+  explicit Verifier(VerifyOptions options = {}, obs::Hooks hooks = {})
+      : options_(options), hooks_(hooks) {}
 
   VerifyResult verify(const BroadcastScheme& scheme);
 
@@ -109,6 +102,7 @@ class Verifier {
   bool acyclic_sweep(const BroadcastScheme& scheme);
 
   VerifyOptions options_;
+  obs::Hooks hooks_;
   VerifyStats stats_;
 
   // Tier-1 scratch.

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "bmp/obs/json.hpp"
+
 namespace bmp::obs {
 
 namespace {
@@ -12,25 +14,6 @@ std::string render_time(double value) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.9g", value);
   return buf;
-}
-
-void append_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace

@@ -6,21 +6,10 @@
 #include <map>
 #include <stdexcept>
 
+#include "bmp/obs/json.hpp"
 #include "bmp/obs/trace.hpp"
 
 namespace bmp::obs {
-
-namespace {
-
-/// Round-trip-exact double rendering: the dump must reload to the same
-/// bits, and two runs must render the same bytes.
-std::string render_time(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
-}  // namespace
 
 // ------------------------------------------------------------ LineageSink
 
@@ -132,11 +121,11 @@ std::string LineageSink::to_json() const {
            ",\"from\":" + std::to_string(hop.from) +
            ",\"to\":" + std::to_string(hop.to) +
            ",\"channel\":" + std::to_string(hop.channel) +
-           ",\"enqueue\":" + render_time(hop.enqueue) +
-           ",\"start\":" + render_time(hop.start) +
-           ",\"finish\":" + render_time(hop.finish) +
+           ",\"enqueue\":" + render_exact(hop.enqueue) +
+           ",\"start\":" + render_exact(hop.start) +
+           ",\"finish\":" + render_exact(hop.finish) +
            ",\"retransmits\":" + std::to_string(hop.retransmits) +
-           ",\"loss_time\":" + render_time(hop.loss_time) +
+           ",\"loss_time\":" + render_exact(hop.loss_time) +
            ",\"hol\":" + std::to_string(hop.hol_stalled ? 1 : 0) +
            ",\"overtake\":" + std::to_string(hop.overtake ? 1 : 0) + "}";
     if (i + 1 < hops_.size()) out += ",";
@@ -281,11 +270,11 @@ std::vector<BlameRow> top_rows(std::map<std::string, BlameRow>& rows,
 
 std::string row_json(const BlameRow& row, const char* key_field) {
   return std::string("{\"") + key_field + "\":\"" + row.key +
-         "\",\"delay\":" + render_time(row.delay) +
-         ",\"queue_wait\":" + render_time(row.queue_wait) +
-         ",\"transmit\":" + render_time(row.transmit) +
-         ",\"retransmit_loss\":" + render_time(row.retransmit_loss) +
-         ",\"sched_stall\":" + render_time(row.sched_stall) + "}";
+         "\",\"delay\":" + render_exact(row.delay) +
+         ",\"queue_wait\":" + render_exact(row.queue_wait) +
+         ",\"transmit\":" + render_exact(row.transmit) +
+         ",\"retransmit_loss\":" + render_exact(row.retransmit_loss) +
+         ",\"sched_stall\":" + render_exact(row.sched_stall) + "}";
 }
 
 }  // namespace
@@ -357,9 +346,9 @@ std::string BlameTable::to_json() const {
                     ",\"channel\":" + std::to_string(channel) +
                     ",\"last_node\":" + std::to_string(last_node) +
                     ",\"critical_chunk\":" + std::to_string(critical_chunk) +
-                    ",\"completion_time\":" + render_time(completion_time) +
-                    ",\"emit_delay\":" + render_time(emit_delay) +
-                    ",\"attributed_total\":" + render_time(attributed_total) +
+                    ",\"completion_time\":" + render_exact(completion_time) +
+                    ",\"emit_delay\":" + render_exact(emit_delay) +
+                    ",\"attributed_total\":" + render_exact(attributed_total) +
                     ",\"sample_mod\":" + std::to_string(sample_mod) +
                     ",\"path\":[";
   for (std::size_t i = 0; i < path.size(); ++i) {
@@ -368,13 +357,13 @@ std::string BlameTable::to_json() const {
     out += "{\"chunk\":" + std::to_string(seg.chunk) +
            ",\"from\":" + std::to_string(seg.from) +
            ",\"to\":" + std::to_string(seg.to) +
-           ",\"enqueue\":" + render_time(seg.enqueue) +
-           ",\"start\":" + render_time(seg.start) +
-           ",\"finish\":" + render_time(seg.finish) +
-           ",\"queue_wait\":" + render_time(seg.queue_wait) +
-           ",\"transmit\":" + render_time(seg.transmit) +
-           ",\"retransmit_loss\":" + render_time(seg.retransmit_loss) +
-           ",\"sched_stall\":" + render_time(seg.sched_stall) +
+           ",\"enqueue\":" + render_exact(seg.enqueue) +
+           ",\"start\":" + render_exact(seg.start) +
+           ",\"finish\":" + render_exact(seg.finish) +
+           ",\"queue_wait\":" + render_exact(seg.queue_wait) +
+           ",\"transmit\":" + render_exact(seg.transmit) +
+           ",\"retransmit_loss\":" + render_exact(seg.retransmit_loss) +
+           ",\"sched_stall\":" + render_exact(seg.sched_stall) +
            ",\"overtake\":" + std::to_string(seg.overtake ? 1 : 0) + "}";
   }
   out += "],\"edges\":[";

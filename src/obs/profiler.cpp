@@ -6,29 +6,9 @@
 #include <sstream>
 #include <vector>
 
+#include "bmp/obs/json.hpp"
+
 namespace bmp::obs {
-
-namespace {
-
-std::string escaped(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 void Profiler::enter(std::string_view phase) {
   const std::lock_guard<std::mutex> lock(mutex_);

@@ -13,10 +13,11 @@
 // the `timing.*` metrics and `TraceConfig::wall_durations`, which break
 // byte-identity by design; the profiler's exports never do.
 //
-// Hook convention (PR 6): call sites hold a raw null-by-default
-// `obs::Profiler*` and pay exactly one branch when profiling is off. Sites
-// pass the *full* phase path — there is no ambient thread-local stack, so
-// a worker-pool site attributes to the same path from any thread.
+// Hook convention (obs/hooks.hpp): layers get the profiler through
+// obs::Hooks, a raw null-by-default pointer, and pay exactly one branch
+// per site when profiling is off. Sites pass the *full* phase path — there
+// is no ambient thread-local stack, so a worker-pool site attributes to
+// the same path from any thread.
 //
 // Exports:
 //   * to_json()            nested phase tree (schema-versioned)
@@ -92,8 +93,9 @@ class Profiler {
   std::map<std::string, Phase, std::less<>> phases_;
 };
 
-/// Phase scope, null-safe: `PhaseScope scope(profiler, "a/b")` counts one
-/// call into the phase; with a null profiler it is one branch.
+/// `PhaseScope scope(profiler, "a/b")` counts one call into the phase when
+/// it is constructed (one branch with a null profiler). Nothing happens at
+/// scope exit: the profiler keeps work counters, not time.
 class PhaseScope {
  public:
   PhaseScope(Profiler* profiler, const char* phase) {
@@ -101,38 +103,6 @@ class PhaseScope {
   }
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
-};
-
-/// Scoped counter, null-safe: increments accumulate lock-free in the scope
-/// and flush to the profiler once at destruction. This is how hot loops
-/// (per-sink solves, scheduler probes, scratch allocations) count work
-/// without taking the profiler mutex per event — and how worker threads
-/// keep their counter sums commutative.
-class ScopedCounter {
- public:
-  ScopedCounter(Profiler* profiler, const char* phase, const char* counter)
-      : profiler_(profiler), phase_(phase), counter_(counter) {}
-  ~ScopedCounter() {
-    if (profiler_ != nullptr && value_ != 0) {
-      profiler_->count(phase_, counter_, value_);
-    }
-  }
-
-  ScopedCounter(const ScopedCounter&) = delete;
-  ScopedCounter& operator=(const ScopedCounter&) = delete;
-
-  void add(std::uint64_t delta) { value_ += delta; }
-  ScopedCounter& operator++() {
-    ++value_;
-    return *this;
-  }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-
- private:
-  Profiler* profiler_;
-  const char* phase_;
-  const char* counter_;
-  std::uint64_t value_ = 0;
 };
 
 }  // namespace bmp::obs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -12,17 +11,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "bmp/obs/json.hpp"
+
 namespace bmp::obs {
 
 namespace {
-
-/// %.17g round-trips every finite double exactly — the serialization must
-/// be lossless so a dump -> parse -> re-dump cycle is byte-identical.
-std::string render_double(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
 
 bool label_ok(std::string_view text) {
   if (text.empty()) return false;
@@ -157,7 +150,7 @@ std::string RollupSnapshot::to_json() const {
     first = false;
     out += "\"" + name + "\":{\"red\":\"" +
            std::string(obs::to_string(cell.reduction)) + "\",\"value\":" +
-           render_double(cell.value) + "}";
+           render_exact(cell.value) + "}";
   }
   out += "},\"sketches\":{";
   first = true;
@@ -165,11 +158,11 @@ std::string RollupSnapshot::to_json() const {
     if (!first) out += ",";
     first = false;
     out += "\"" + name + "\":{\"alpha\":" +
-           render_double(sketch.config().alpha) + ",\"min_value\":" +
-           render_double(sketch.config().min_value) + ",\"zero\":" +
+           render_exact(sketch.config().alpha) + ",\"min_value\":" +
+           render_exact(sketch.config().min_value) + ",\"zero\":" +
            std::to_string(sketch.zero_count()) + ",\"min\":" +
-           render_double(sketch.min()) + ",\"max\":" +
-           render_double(sketch.max()) + ",\"offset\":" +
+           render_exact(sketch.min()) + ",\"max\":" +
+           render_exact(sketch.max()) + ",\"offset\":" +
            std::to_string(sketch.bucket_offset()) + ",\"counts\":[";
     bool first_count = true;
     for (const std::uint64_t count : sketch.counts()) {

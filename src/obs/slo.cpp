@@ -35,11 +35,15 @@ const char* SloSample::worst_sli() const {
   return "none";
 }
 
-SloMonitor::SloMonitor(int channel, SloConfig config, FlightRecorder* recorder)
-    : channel_(channel), config_(config), recorder_(recorder) {
-  if (config_.latency_window == 0) {
+void check_config(const SloConfig& config) {
+  if (config.latency_window == 0) {
     throw std::invalid_argument("SloMonitor: latency_window must be > 0");
   }
+}
+
+SloMonitor::SloMonitor(int channel, SloConfig config, FlightRecorder* recorder)
+    : channel_(channel), config_(config), recorder_(recorder) {
+  check_config(config_);
   latencies_.reserve(config_.latency_window);
 }
 

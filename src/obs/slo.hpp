@@ -43,6 +43,10 @@ struct SloConfig {
   std::size_t max_alerts = 256;    ///< alert ring bound
 };
 
+/// Throws std::invalid_argument when config.latency_window is 0; the
+/// SloMonitor constructor and the runtime run it.
+void check_config(const SloConfig& config);
+
 enum class SloState : int { kOk = 0, kWarn = 1, kPage = 2 };
 
 [[nodiscard]] const char* to_string(SloState state);
@@ -77,7 +81,7 @@ struct SloAlert {
 
 class SloMonitor {
  public:
-  /// Throws std::invalid_argument when config.latency_window is 0.
+  /// Throws what check_config(config) throws.
   SloMonitor(int channel, SloConfig config = {},
              FlightRecorder* recorder = nullptr);
 

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "bmp/obs/json.hpp"
+
 namespace bmp::obs {
 
 const char* to_string(Lane lane) {
@@ -37,35 +39,6 @@ std::string render_us(double value) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.3f", value);
   return buf;
-}
-
-bool needs_escape(char c) {
-  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
-}
-
-void append_escaped(std::string& out, const char* text) {
-  // Fast path: event names, categories and arg keys are plain identifiers,
-  // so the whole string almost always appends in one piece.
-  const char* p = text;
-  while (*p != '\0' && !needs_escape(*p)) ++p;
-  out.append(text, static_cast<std::size_t>(p - text));
-  for (; *p != '\0'; ++p) {
-    const char c = *p;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ Channel::Channel(const ChannelHost& host, int id, const Grant& grant,
       static_cast<std::uint64_t>(id) * 0x9E3779B97F4A7C15ULL);
   exec_config.trace_id = id;
   open_time_ = now;
-  execution_ = std::make_unique<dataplane::Execution>(exec_config);
+  execution_ = std::make_unique<dataplane::Execution>(exec_config, config);
   if (config.control.enabled) {
     controller_ =
         std::make_unique<control::Controller>(config.control.controller);
@@ -126,7 +126,7 @@ void Channel::rebuild() {
   engine::SessionConfig session_config = host_.config.session;
   session_config.trace_id = id_;  // repair/adapt spans name their channel
   session_ = std::make_unique<engine::Session>(host_.planner, scaled,
-                                               session_config);
+                                               session_config, host_.config);
   if (session_->initial_plan_verified()) {
     // Channel opens and join replans verify their computed plans too —
     // without this the verify.* counters would only see leave events.

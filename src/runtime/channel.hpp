@@ -144,7 +144,9 @@ struct HotMetrics {
 
 /// What every channel shares with its runtime; all owned by the runtime.
 struct ChannelHost {
-  const RuntimeConfig& config;  ///< sinks already threaded into sub-configs
+  /// The runtime's knobs; its obs::Hooks base is what the channel hands to
+  /// its session and stream.
+  const RuntimeConfig& config;
   engine::Planner& planner;
   obs::ShardRegistry& metrics;
   const HotMetrics& hot;

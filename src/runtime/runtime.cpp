@@ -11,39 +11,8 @@
 
 namespace bmp::runtime {
 
-const char* to_string(EventType type) {
-  switch (type) {
-    case EventType::kChannelOpen: return "channel_open";
-    case EventType::kChannelClose: return "channel_close";
-    case EventType::kNodeJoin: return "node_join";
-    case EventType::kNodeLeave: return "node_leave";
-    case EventType::kRenegotiate: return "renegotiate";
-    case EventType::kDegrade: return "degrade";
-    case EventType::kFault: return "fault";
-  }
-  throw std::invalid_argument("unknown event type");
-}
-
-const char* to_string(FaultAction::Kind kind) {
-  switch (kind) {
-    case FaultAction::Kind::kCrash: return "crash";
-    case FaultAction::Kind::kPartitionStart: return "partition_start";
-    case FaultAction::Kind::kPartitionHeal: return "partition_heal";
-    case FaultAction::Kind::kCorruptStart: return "corrupt_start";
-    case FaultAction::Kind::kCorruptEnd: return "corrupt_end";
-    case FaultAction::Kind::kBlackoutStart: return "blackout_start";
-    case FaultAction::Kind::kBlackoutEnd: return "blackout_end";
-    case FaultAction::Kind::kPlannerOutageStart: return "planner_outage_start";
-    case FaultAction::Kind::kPlannerOutageEnd: return "planner_outage_end";
-  }
-  throw std::invalid_argument("unknown fault kind");
-}
-
 namespace {
 
-// The trace sink and profiler ride into the planner through its config;
-// the planner is constructed in the member-init list, so the splice
-// happens in a value helper rather than in the constructor body.
 /// Validates a peer spec (`who` names the event in the error) and turns it
 /// into a live population entry.
 Node admit_peer(const NodeSpec& spec, const char* who) {
@@ -63,14 +32,10 @@ Node admit_peer(const NodeSpec& spec, const char* who) {
   return node;
 }
 
-engine::PlannerConfig with_obs(engine::PlannerConfig planner,
-                               obs::TraceSink* trace,
-                               obs::Profiler* profiler,
-                               engine::PlannerOutage* outage) {
-  planner.trace = trace;
-  planner.profiler = profiler;
-  // Fault events toggle the runtime-owned outage unless the caller wired
-  // in an external one (tests driving the outage by hand).
+/// Fault events toggle the runtime-owned outage unless the caller wired in
+/// an external one (tests driving the outage by hand).
+engine::PlannerConfig with_outage(engine::PlannerConfig planner,
+                                  engine::PlannerOutage* outage) {
   if (planner.outage == nullptr) planner.outage = outage;
   return planner;
 }
@@ -80,8 +45,7 @@ engine::PlannerConfig with_obs(engine::PlannerConfig planner,
 Runtime::Runtime(RuntimeConfig config, double source_bandwidth,
                  const std::vector<NodeSpec>& initial_peers)
     : config_(config),
-      planner_(with_obs(config.planner, config.trace, config.profiler,
-                        &planner_outage_)),
+      planner_(with_outage(config.planner, &planner_outage_), config_),
       broker_(config.broker_headroom),
       metrics_(config.telemetry != nullptr ? *config.telemetry
                                            : own_metrics_) {
@@ -90,28 +54,19 @@ Runtime::Runtime(RuntimeConfig config, double source_bandwidth,
   // timing.* metrics must not pay the per-verify clock reads inside its
   // sessions either.
   config_.session.verify.collect_timing = config_.collect_timing;
-  // One trace switch likewise: the runtime's sink reaches every session
-  // (and its event-loop verifier) and every chunk stream. Planner-pool
-  // thread-local verifiers stay untraced by design — see VerifyOptions.
-  config_.session.trace = config_.trace;
-  config_.session.verify.trace = config_.trace;
-  config_.dataplane.execution.trace = config_.trace;
-  config_.dataplane.execution.recorder = config_.recorder;
-  // One profiler switch likewise: the event-loop verifier and every chunk
-  // stream attribute their work to the same tree the planner writes into.
-  config_.session.verify.profiler = config_.profiler;
-  config_.dataplane.execution.profiler = config_.profiler;
-  // One lineage switch likewise: every chunk stream records delivery hops
-  // into the shared sink (records carry the channel id, so streams never
-  // collide).
-  config_.dataplane.execution.lineage = config_.lineage;
   if (!is_valid_bandwidth(source_bandwidth)) {
     throw std::invalid_argument("Runtime: invalid source bandwidth");
   }
-  if (config_.control.enabled && !config_.dataplane.execute) {
-    throw std::invalid_argument(
-        "Runtime: the control plane needs execution mode (its telemetry "
-        "source) — set dataplane.execute");
+  if (config_.control.enabled) {
+    if (!config_.dataplane.execute) {
+      throw std::invalid_argument(
+          "Runtime: the control plane needs execution mode (its telemetry "
+          "source) — set dataplane.execute");
+    }
+    // Checked now, not at the first channel open: a sample_interval <= 0
+    // or NaN would spin advance_executions' boundary loop forever.
+    control::check_config(config_.control.controller);
+    if (config_.control.slo_enabled) obs::check_config(config_.control.slo);
   }
   nodes_.reserve(1 + initial_peers.size());
   Node source;

@@ -36,18 +36,12 @@
 #include "bmp/dataplane/execution.hpp"
 #include "bmp/engine/planner.hpp"
 #include "bmp/engine/session.hpp"
+#include "bmp/obs/hooks.hpp"
 #include "bmp/obs/rollup.hpp"
 #include "bmp/obs/slo.hpp"
 #include "bmp/runtime/capacity_broker.hpp"
 #include "bmp/runtime/channel.hpp"
 #include "bmp/runtime/event.hpp"
-
-namespace bmp::obs {
-class Profiler;
-class TraceSink;
-class FlightRecorder;
-class LineageSink;
-}  // namespace bmp::obs
 
 namespace bmp::runtime {
 
@@ -132,7 +126,10 @@ struct ControlConfig {
   int slo_sustained_window = 4;
 };
 
-struct RuntimeConfig {
+/// The obs::Hooks base holds the run's sinks: the runtime hands them to its
+/// planner and every channel's session and stream, and writes its own loop
+/// events, admissions, faults and heavy-hitter tables into them.
+struct RuntimeConfig : obs::Hooks {
   engine::PlannerConfig planner;  ///< shared cache / thread pool knobs
   engine::SessionConfig session;  ///< repair-vs-replan policy per channel
   double broker_headroom = 0.0;   ///< budget fraction withheld from channels
@@ -141,33 +138,6 @@ struct RuntimeConfig {
   DataPlaneConfig dataplane;      ///< chunk-level execution mode
   ControlConfig control;          ///< telemetry-driven adaptation
   FaultToleranceConfig fault;     ///< reaction policy for injected faults
-  /// Cross-layer tracing (null = off): the runtime threads this sink into
-  /// its planner, every session/verifier, every execution and the control
-  /// plane, and stamps it with the scenario clock — a whole run lands in
-  /// one Perfetto-loadable timeline. Non-owning; must outlive the runtime.
-  obs::TraceSink* trace = nullptr;
-  /// Flight recorder (null = off): recent scenario/control/churn events per
-  /// channel, auto-dumped when validate() or a stream's rate audit fails.
-  obs::FlightRecorder* recorder = nullptr;
-  /// Performance attribution (null = off): the runtime threads this
-  /// profiler into its planner, every session verifier and every chunk
-  /// stream, and records its own loop phases (runtime/step, session
-  /// churn/adapt, broker rebalance, control decide) as deterministic work
-  /// counters. Non-owning; must outlive the runtime.
-  obs::Profiler* profiler = nullptr;
-  /// Chunk lineage (null = off): every execution records one hop per
-  /// delivered chunk into this sink — the critical-path analyzer's input
-  /// (obs::analyze_critical_path). Non-owning; must outlive the runtime.
-  obs::LineageSink* lineage = nullptr;
-  /// Sharded telemetry rollup (null = the runtime keeps its own registry):
-  /// the runtime records every series into this registry instead —
-  /// Runtime::metrics() then returns it — and additionally keeps bounded
-  /// top-K heavy-hitter tables of the worst nodes and edges by
-  /// retransmit, stall and demotion weight. One registry per shard (it is
-  /// single-threaded, like the runtime); shard snapshots roll up to a
-  /// byte-identical global obs::RollupSnapshot regardless of merge order
-  /// or planner thread count. Non-owning; must outlive the runtime.
-  obs::ShardRegistry* telemetry = nullptr;
   /// Disambiguates node/edge heavy-hitter keys across shards (each shard
   /// numbers its nodes from 0): keys render as
   /// `node:<prefix><id>` / `edge:<prefix><from>-><to>`. Checked with

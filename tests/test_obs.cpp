@@ -93,8 +93,9 @@ TEST(TraceSink, PlanBatchTraceByteIdenticalAcrossThreadCounts) {
     obs::TraceSink sink;
     engine::PlannerConfig config;
     config.threads = threads;
-    config.trace = &sink;
-    engine::Planner planner(config);
+    obs::Hooks hooks;
+    hooks.trace = &sink;
+    engine::Planner planner(config, hooks);
     planner.plan_batch(stream);
     // One batch span + one per *distinct* computation (the batch dedupes
     // the 12 requests down to 4 platforms).
@@ -108,9 +109,9 @@ TEST(TraceSink, WallDurationsOptInBreaksNothingButAddsArg) {
   obs::TraceConfig config;
   config.wall_durations = true;
   obs::TraceSink sink(config);
-  engine::PlannerConfig planner_config;
-  planner_config.trace = &sink;
-  engine::Planner planner(planner_config);
+  obs::Hooks hooks;
+  hooks.trace = &sink;
+  engine::Planner planner({}, hooks);
   planner.plan(testing::fig1_instance(), engine::Algorithm::kAcyclic, 0);
   EXPECT_EQ(sink.spans(), 1u);
   EXPECT_NE(sink.to_json().find("\"wall_us\":"), std::string::npos);
@@ -163,9 +164,10 @@ TEST(FlightRecorder, ExecutionValidateFailureAutoRecords) {
   config.total_chunks = 50;
   config.emission_rate = 0.0;  // file mode: backlog exists at t = 0
   config.warmup_chunks = 0;
-  config.recorder = &recorder;
   config.trace_id = 42;
-  dataplane::Execution exec(config);
+  obs::Hooks hooks;
+  hooks.recorder = &recorder;
+  dataplane::Execution exec(config, hooks);
   const int source = exec.add_node(10.0);
   const int leaf = exec.add_node(0.0);
   exec.set_edge(source, leaf, 10.0);

@@ -65,10 +65,6 @@ TEST(Profiler, NullHooksAreSafeAndFree) {
   // null profiler — this is the branch every call site pays by default.
   {
     const obs::PhaseScope scope(nullptr, "never/recorded");
-    obs::ScopedCounter counter(nullptr, "never/recorded", "events");
-    ++counter;
-    counter.add(41);
-    EXPECT_EQ(counter.value(), 42u);
   }
   obs::Profiler profiler;
   EXPECT_TRUE(profiler.empty());
@@ -168,9 +164,9 @@ TEST(TierTwoVerify, WorkCountersRepeatExactly) {
   double first_throughput = 0.0;
   for (int rep = 0; rep < 2; ++rep) {
     obs::Profiler profile;
-    flow::VerifyOptions options;
-    options.profiler = &profile;
-    flow::Verifier verifier(options);
+    obs::Hooks hooks;
+    hooks.profiler = &profile;
+    flow::Verifier verifier({}, hooks);
     const flow::VerifyResult result = verifier.verify(cyclic);
     EXPECT_EQ(result.tier, flow::VerifyTier::kRootedMinCut);
     EXPECT_EQ(result.maxflow_solves, 1);
@@ -206,8 +202,9 @@ TEST(TierTwoVerify, PlannerCountersIndependentOfThreadCount) {
     obs::Profiler profile;
     engine::PlannerConfig config;
     config.threads = threads[i];
-    config.profiler = &profile;
-    engine::Planner planner(config);
+    obs::Hooks hooks;
+    hooks.profiler = &profile;
+    engine::Planner planner(config, hooks);
     for (const engine::PlanResponse& response : planner.plan_batch(requests)) {
       EXPECT_EQ(response.verified_tier, flow::VerifyTier::kRootedMinCut);
     }

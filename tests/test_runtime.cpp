@@ -485,6 +485,27 @@ TEST(Runtime, RejectsOutOfOrderEvents) {
   EXPECT_THROW(runtime.run(unsorted), std::invalid_argument);
 }
 
+TEST(Runtime, RejectsControlGridThatNeverAdvances) {
+  // A sample_interval <= 0 or NaN never puts a grid boundary past any
+  // event time, so the first step would spin forever; construction must
+  // refuse it (and a bad SLO config) before any channel opens.
+  const std::vector<NodeSpec> peers = uniform_peers(4, 5.0);
+  for (const double interval : {0.0, -1.0, std::nan("")}) {
+    RuntimeConfig config;
+    config.dataplane.execute = true;
+    config.control.enabled = true;
+    config.control.controller.sample_interval = interval;
+    EXPECT_THROW(Runtime(config, 10.0, peers), std::invalid_argument)
+        << "sample_interval " << interval;
+  }
+  RuntimeConfig config;
+  config.dataplane.execute = true;
+  config.control.enabled = true;
+  config.control.slo_enabled = true;
+  config.control.slo.latency_window = 0;
+  EXPECT_THROW(Runtime(config, 10.0, peers), std::invalid_argument);
+}
+
 // ------------------------------------------------- acceptance (ISSUE 2)
 
 // 3 channels on a 500-node heterogeneous platform: replay determinism,
