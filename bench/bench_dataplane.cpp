@@ -177,70 +177,35 @@ int main(int argc, char** argv) {
   // ------------------------------------------- lineage overhead, A/B wall
   // The bench's lossy scenario with the lineage sink attached must cost
   // <= 5% wall time over the disabled baseline (disabled cost: one branch
-  // per delivery; losses exercise the retry-tally path too). Estimator:
-  // the two variants run back-to-back within each of 21 rounds (run order
-  // flips every round so a within-round drift cannot systematically tax
-  // one variant), and the reported overhead is the ratio of the two *min*
-  // walls. Scheduler noise is additive — it only ever inflates a wall —
-  // so the per-variant min over 21 interleaved samples converges on the
-  // true cost even when ambient load swings the individual walls by tens
-  // of percent, where medians (or per-pair ratios) drift with the load.
-  // The on-runs rotate across three independently allocated sinks: a
-  // record buffer that happens to land on pages conflicting with the
-  // simulator's hot set taxes every run that reuses it, and the min can
-  // only discount that placement luck if the samples don't all share it.
-  const auto ab_run = [&](bmp::obs::LineageSink* sink) {
+  // per delivery; losses exercise the retry-tally path too), measured over
+  // 21 rounds with the shared paired A/B estimator (bench_util.hpp). The
+  // on-runs rotate across three independently allocated sinks: a record
+  // buffer that happens to land on pages conflicting with the simulator's
+  // hot set would otherwise tax every on-run alike.
+  std::vector<bmp::obs::LineageSink> sinks(3);
+  const auto ab_run = [&](bool lineage_on, int round) {
     bmp::obs::Hooks ab_hooks;
-    ab_hooks.lineage = sink;
+    if (lineage_on) {
+      bmp::obs::LineageSink& lineage = sinks[round % sinks.size()];
+      lineage.clear();  // fresh records, warm buffers: same work per run
+      ab_hooks.lineage = &lineage;
+    }
     const auto start = std::chrono::steady_clock::now();
     bmp::dataplane::Execution exec(platform, solution.scheme, config, ab_hooks);
     exec.run_to_completion();
     return seconds_since(start);
   };
-  std::vector<bmp::obs::LineageSink> sinks(3);
-  const auto ab_measure = [&] {
-    std::vector<double> ab_on_walls;
-    std::vector<double> ab_off_walls;
-    const int ab_rounds = 21;
-    for (int round = 0; round < ab_rounds; ++round) {
-      bmp::obs::LineageSink& lineage = sinks[round % sinks.size()];
-      if (round % 2 == 0) {
-        ab_off_walls.push_back(ab_run(nullptr));
-        lineage.clear();  // fresh records, warm buffers: same work per run
-        ab_on_walls.push_back(ab_run(&lineage));
-      } else {
-        lineage.clear();
-        ab_on_walls.push_back(ab_run(&lineage));
-        ab_off_walls.push_back(ab_run(nullptr));
-      }
-    }
-    const auto best = [](const std::vector<double>& walls) {
-      return *std::min_element(walls.begin(), walls.end());
-    };
-    return std::pair<double, double>(best(ab_on_walls), best(ab_off_walls));
-  };
-  auto [ab_on_wall, ab_off_wall] = ab_measure();
-  if (ab_on_wall > 1.05 * ab_off_wall) {
-    // One retry before declaring a regression: an ambient burst spanning a
-    // whole measurement occasionally inflates the estimate a few percent
-    // past the bar; a genuine recording regression fails both attempts.
-    const auto [retry_on, retry_off] = ab_measure();
-    if (retry_on * ab_off_wall < ab_on_wall * retry_off) {
-      ab_on_wall = retry_on;
-      ab_off_wall = retry_off;
-    }
-  }
+  const bmp::benchutil::AbEstimate ab =
+      bmp::benchutil::paired_ab_overhead(21, 1.05, ab_run);
   const bmp::obs::LineageSink& lineage = sinks.front();
-  const double lineage_overhead =
-      ab_off_wall > 0.0 ? ab_on_wall / ab_off_wall : 1.0;
-  const bool lineage_cheap = lineage_overhead <= 1.05;
+  const bool lineage_cheap = ab.ratio <= 1.05;
   ok = ok && lineage_cheap && lineage.recorded() > 0;
   std::cout << (lineage_cheap ? "[OK] " : "[WARN] ")
-            << "lineage recording costs " << lineage_overhead
+            << "lineage recording costs " << ab.ratio
             << "x wall vs disabled (bar: <= 1.05x, "
             << lineage.recorded() << " hops/run, baseline "
-            << ab_off_wall * 1e3 << "ms)\n";
-  json.add("lineage_overhead_ratio", lineage_overhead);
+            << ab.off_wall * 1e3 << "ms)\n";
+  json.add("lineage_overhead_ratio", ab.ratio);
   json.add("lineage_hops", lineage.recorded());
 
   // -------------------------- scheduler scan index vs linear deep backlog

@@ -9,7 +9,7 @@
 //     footprint and its lineage sink's retained hops must not grow with
 //     the node count (gated against a 5x smaller shard);
 //   * overhead: the full stack costs <= 5% wall over the all-off baseline
-//     (interleaved A/B, min-of-mins estimator, retries fold in more rounds);
+//     (paired A/B, median of per-round ratios, retries fold in more rounds);
 //   * identity: the rolled-up global snapshot is byte-identical across
 //     shard merge orders, tree shapes, repeat runs, and planner thread
 //     counts — the determinism contract the offline obs_query relies on.
@@ -306,20 +306,14 @@ int main(int argc, char** argv) {
            static_cast<std::uint64_t>(sinks.front().sample_mod()));
 
   // ------------------------------------------- gate: <= 5% wall overhead
-  // Full stack vs all-off on one shard. The two variants run back-to-back
-  // within each round (order flips per round so ambient drift cannot tax
-  // one side), and the reported overhead is the ratio of the two *min*
-  // walls — scheduler noise only ever inflates a wall, so the per-variant
-  // min over interleaved samples converges on the true cost. Up to two
-  // retries fold extra rounds into the mins before declaring a regression.
-  // The A/B rounds run the planner single-threaded: pool scheduling jitter
-  // is identical noise on both sides and only widens the estimator's
-  // tails, while the event-loop path the stack actually instruments is the
-  // same either way (the threads=4 fleet and identity runs cover the
-  // multi-threaded contract). Each round constructs its sinks fresh, so a
-  // round's heap layout is its own draw and the min sheds the unlucky ones
-  // along with the scheduler spikes.
-  const auto ab_run = [&](bool obs_on) {
+  // Full stack vs all-off on one shard, measured with the shared paired
+  // A/B estimator (bench_util.hpp). The A/B rounds run the planner
+  // single-threaded: pool scheduling jitter is identical noise on both
+  // sides and only widens the estimator's tails, while the event-loop path
+  // the stack actually instruments is the same either way (the threads=4
+  // fleet and identity runs cover the multi-threaded contract). Each run
+  // constructs its sinks fresh, so a run's heap layout is its own draw.
+  const auto ab_run = [&](bool obs_on, int /*round*/) {
     bmp::obs::ShardRegistry reg;
     bmp::obs::LineageSink sink(lineage_config);
     bmp::obs::TraceSink trace;
@@ -332,45 +326,16 @@ int main(int argc, char** argv) {
     return run_shard(scripts.front(), chunk, horizon, /*planner_threads=*/1,
                      "s0:", obs, /*slo=*/obs_on);
   };
-  // Estimator: the *median of per-round ratios*. Within a round the two
-  // variants run ~80 ms apart, so they share the host's clock state —
-  // frequency scaling and slow ambient drift cancel out of the ratio,
-  // which a min-of-mins across rounds cannot claim (a clocked-down stretch
-  // inflates every wall in it, mins included). The median then sheds the
-  // rounds where a scheduler spike landed on one side. Min walls are still
-  // reported for scale.
-  double ab_on_wall = 0.0;
-  double ab_off_wall = 0.0;
-  std::vector<double> ab_ratios;
-  const auto ab_measure = [&] {
-    for (int round = 0; round < ab_rounds; ++round) {
-      const double first = ab_run(round % 2 == 0);
-      const double second = ab_run(round % 2 != 0);
-      const double on_wall = round % 2 == 0 ? first : second;
-      const double off_wall = round % 2 == 0 ? second : first;
-      ab_on_wall =
-          ab_on_wall == 0.0 ? on_wall : std::min(ab_on_wall, on_wall);
-      ab_off_wall =
-          ab_off_wall == 0.0 ? off_wall : std::min(ab_off_wall, off_wall);
-      if (off_wall > 0.0) ab_ratios.push_back(on_wall / off_wall);
-    }
-    std::sort(ab_ratios.begin(), ab_ratios.end());
-    return ab_ratios.empty() ? 1.0 : ab_ratios[ab_ratios.size() / 2];
-  };
-  double overhead = ab_measure();
-  for (int retry = 0; retry < 2 && overhead > 1.05; ++retry) {
-    // More rounds, same estimator: the retry extends the ratio sample and
-    // the median is recomputed over everything measured so far.
-    overhead = ab_measure();
-  }
-  const bool cheap = overhead <= 1.05;
+  const bmp::benchutil::AbEstimate ab =
+      bmp::benchutil::paired_ab_overhead(ab_rounds, 1.05, ab_run);
+  const bool cheap = ab.ratio <= 1.05;
   ok = ok && cheap;
   std::cout << (cheap ? "[OK] " : "[WARN] ") << "full obs stack costs "
-            << overhead << "x wall vs all-off (bar: <= 1.05x, baseline "
-            << ab_off_wall * 1e3 << "ms)\n";
-  json.add("obs_overhead_x", overhead);
-  json.add("ab_on_wall_seconds", ab_on_wall);
-  json.add("ab_off_wall_seconds", ab_off_wall);
+            << ab.ratio << "x wall vs all-off (bar: <= 1.05x, baseline "
+            << ab.off_wall * 1e3 << "ms)\n";
+  json.add("obs_overhead_x", ab.ratio);
+  json.add("ab_on_wall_seconds", ab.on_wall);
+  json.add("ab_off_wall_seconds", ab.off_wall);
 
   // ------------------------------------------------------- global rollup
   std::cout << "\n" << global.to_string();

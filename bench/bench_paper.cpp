@@ -886,8 +886,10 @@ bool run_depth_ablation(obs::Profiler*) {
     const AcyclicSolution sol = solve_acyclic(inst);
     if (sol.throughput <= 1e-9) continue;
     for (std::size_t k = 0; k < orders.size(); ++k) {
-      const BroadcastScheme s = build_scheme_from_word_ordered(
-          inst, sol.word, sol.throughput, orders[k].second);
+      const BroadcastScheme s =
+          build_scheme_from_word(inst, sol.word, sol.throughput,
+                                 /*with_trace=*/false, orders[k].second)
+              .scheme;
       const DepthReport d = analyze_depth(s);
       rows[k].max_depth.add(d.max_depth);
       rows[k].weighted_depth.add(d.max_weighted_depth);

@@ -1,6 +1,7 @@
 // Shared helpers for the experiment binaries.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -252,6 +253,51 @@ inline int finish(CommonCli& cli, const std::string& name, bool ok) {
 inline void selftest_sleep() {
   static const int us = env_int("BMP_PERF_SELFTEST_SLEEP_US", 0);
   if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
+}
+
+/// What paired_ab_overhead measured.
+struct AbEstimate {
+  double ratio = 1.0;     ///< median per-round on/off wall ratio
+  double on_wall = 0.0;   ///< min on-variant wall (seconds), for scale
+  double off_wall = 0.0;  ///< min off-variant wall (seconds), for scale
+};
+
+/// The paired A/B wall estimator every overhead gate shares. Each round
+/// runs both variants back to back, on first in even rounds and off first
+/// in odd ones, so drift within a round cannot tax one side. The estimate
+/// is the *median of per-round ratios*: the two runs of a round share the
+/// host's clock state, so frequency scaling and slow ambient drift cancel
+/// out of the ratio — which a min-of-mins across rounds cannot claim, as a
+/// clocked-down stretch inflates every wall in it, mins included. The
+/// median then sheds the rounds where a scheduler spike landed on one
+/// side. While the estimate exceeds `bar`, up to two retries each add
+/// `rounds` more rounds and recompute the median over all of them.
+/// `run(on, round)` performs one run and returns its wall seconds; `round`
+/// counts up across retries.
+template <typename Run>
+AbEstimate paired_ab_overhead(int rounds, double bar, Run&& run) {
+  AbEstimate estimate;
+  std::vector<double> ratios;
+  int round = 0;
+  const auto measure = [&] {
+    for (const int end = round + rounds; round < end; ++round) {
+      const bool on_first = round % 2 == 0;
+      const double first = run(on_first, round);
+      const double second = run(!on_first, round);
+      const double on = on_first ? first : second;
+      const double off = on_first ? second : first;
+      estimate.on_wall =
+          estimate.on_wall == 0.0 ? on : std::min(estimate.on_wall, on);
+      estimate.off_wall =
+          estimate.off_wall == 0.0 ? off : std::min(estimate.off_wall, off);
+      if (off > 0.0) ratios.push_back(on / off);
+    }
+    std::sort(ratios.begin(), ratios.end());
+    estimate.ratio = ratios.empty() ? 1.0 : ratios[ratios.size() / 2];
+  };
+  measure();
+  for (int retry = 0; retry < 2 && estimate.ratio > bar; ++retry) measure();
+  return estimate;
 }
 
 }  // namespace bmp::benchutil

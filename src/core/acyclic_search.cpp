@@ -1,5 +1,6 @@
 #include "bmp/core/acyclic_search.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -60,9 +61,18 @@ AcyclicSolution solve_acyclic(const Instance& instance, int iters) {
   if (!found.word.has_value()) {
     throw std::logic_error("solve_acyclic: even T=0 rejected (empty instance?)");
   }
-  WordSchedule ws =
-      build_scheme_from_word(instance, *found.word, found.throughput);
-  return {found.throughput, std::move(*found.word), std::move(ws.scheme)};
+  // GreedyTest accepts each letter within one tie, so the word may miss
+  // validity at the searched T by up to one tie per letter. Past what the
+  // builder's tolerance absorbs, claim (and build at) a T that the word
+  // meets with a tie to spare: lowering T by d lowers every deficit by at
+  // least d.
+  double T = found.throughput;
+  const double shortfall = word_shortfall(instance, *found.word, T);
+  if (shortfall > 1e-9 * T) {
+    T = std::max(0.0, T - shortfall - greedy_tie_tolerance(instance, T));
+  }
+  WordSchedule ws = build_scheme_from_word(instance, *found.word, T);
+  return {T, std::move(*found.word), std::move(ws.scheme)};
 }
 
 }  // namespace bmp

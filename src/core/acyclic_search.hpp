@@ -18,9 +18,11 @@ double optimal_acyclic_throughput(const Instance& instance,
                                   int iters = 100);
 
 struct AcyclicSolution {
+  /// The searched T*_ac, lowered by the word's shortfall plus one tie when
+  /// the word misses validity there by more than 1e-9·T (word_shortfall).
   double throughput = 0.0;
-  Word word;              ///< witness word from GreedyTest at `throughput`.
-  BroadcastScheme scheme; ///< low-degree scheme feeding every node at rate T.
+  Word word;              ///< witness word from GreedyTest.
+  BroadcastScheme scheme; ///< low-degree scheme feeding every node at `throughput`.
 };
 
 /// Full §IV pipeline: dichotomic search + Lemma 4.6 scheme construction.

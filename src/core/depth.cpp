@@ -1,7 +1,6 @@
 #include "bmp/core/depth.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 
 namespace bmp {
@@ -53,111 +52,6 @@ DepthReport analyze_depth(const BroadcastScheme& scheme) {
   }
   report.mean_depth = fed > 0 ? depth_sum / fed : 0.0;
   return report;
-}
-
-namespace {
-
-struct Slot {
-  int id;
-  double residual;
-};
-
-/// Pulls `need` from the pool honoring the feed order; returns drawn total.
-double drain_ordered(std::deque<Slot>& pool, int receiver, double need,
-                     BroadcastScheme& scheme, double eps, FeedOrder order,
-                     const std::vector<int>& depth_of) {
-  double drawn = 0.0;
-  while (need > eps && !pool.empty()) {
-    std::size_t pick = 0;
-    switch (order) {
-      case FeedOrder::kEarliestFirst:
-        pick = 0;
-        break;
-      case FeedOrder::kLatestFirst:
-        pick = pool.size() - 1;
-        break;
-      case FeedOrder::kShallowest: {
-        int best_depth = depth_of[static_cast<std::size_t>(pool[0].id)];
-        for (std::size_t k = 1; k < pool.size(); ++k) {
-          const int d = depth_of[static_cast<std::size_t>(pool[k].id)];
-          if (d < best_depth) {
-            best_depth = d;
-            pick = k;
-          }
-        }
-        break;
-      }
-    }
-    Slot& slot = pool[pick];
-    const double take = std::min(slot.residual, need);
-    if (take > eps) {
-      scheme.add(slot.id, receiver, take);
-      slot.residual -= take;
-      need -= take;
-      drawn += take;
-    }
-    if (slot.residual <= eps) pool.erase(pool.begin() + static_cast<long>(pick));
-  }
-  return drawn;
-}
-
-}  // namespace
-
-BroadcastScheme build_scheme_from_word_ordered(const Instance& instance,
-                                               const Word& word, double T,
-                                               FeedOrder order) {
-  if (count_open(word) != instance.n() || count_guarded(word) != instance.m()) {
-    throw std::invalid_argument(
-        "build_scheme_from_word_ordered: word letter counts mismatch");
-  }
-  BroadcastScheme scheme(instance.size());
-  if (T <= 0.0) return scheme;
-  const double eps = 1e-9 * T;  // relative; see word_schedule.cpp
-
-  std::deque<Slot> open_pool{{0, instance.b(0)}};
-  std::deque<Slot> guarded_pool;
-  std::vector<int> depth_of(static_cast<std::size_t>(instance.size()), 0);
-
-  const auto depth_after_feed = [&](int node) {
-    int d = 0;
-    for (int s = 0; s < instance.size(); ++s) {
-      if (scheme.rate(s, node) > 0.0) {
-        d = std::max(d, depth_of[static_cast<std::size_t>(s)] + 1);
-      }
-    }
-    depth_of[static_cast<std::size_t>(node)] = d;
-  };
-
-  int opens = 0;
-  int guardeds = 0;
-  for (const Letter letter : word) {
-    if (letter == Letter::kGuarded) {
-      ++guardeds;
-      const int node = instance.n() + guardeds;
-      const double got =
-          drain_ordered(open_pool, node, T, scheme, eps, order, depth_of);
-      if (got + eps < T) {
-        throw std::invalid_argument(
-            "build_scheme_from_word_ordered: word invalid for T");
-      }
-      depth_after_feed(node);
-      guarded_pool.push_back({node, instance.b(node)});
-    } else {
-      ++opens;
-      const int node = opens;
-      const double from_guarded =
-          drain_ordered(guarded_pool, node, T, scheme, eps, order, depth_of);
-      const double from_open = drain_ordered(open_pool, node, T - from_guarded,
-                                             scheme, eps, order, depth_of);
-      if (from_guarded + from_open + eps < T) {
-        throw std::invalid_argument(
-            "build_scheme_from_word_ordered: word invalid for T");
-      }
-      depth_after_feed(node);
-      open_pool.push_back({node, instance.b(node)});
-    }
-  }
-  return scheme;
 }
 
 }  // namespace bmp

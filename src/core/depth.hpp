@@ -4,14 +4,13 @@
 // chain of relays; the per-node *depth* (longest source path over
 // positive-rate edges) bounds its worst-case latency, and the
 // flow-weighted depth approximates the mean piece delay observed by the
-// simulator.
+// simulator. build_scheme_from_word's FeedOrder (word_schedule.hpp) picks
+// between the paper's low-degree feeding and shallower or deeper variants.
 #pragma once
 
 #include <vector>
 
-#include "bmp/core/instance.hpp"
 #include "bmp/core/scheme.hpp"
-#include "bmp/core/word.hpp"
 
 namespace bmp {
 
@@ -28,22 +27,5 @@ struct DepthReport {
 /// Computes depth metrics. Requires an acyclic scheme (cyclic schemes have
 /// unbounded paths; their steady-state delay needs the simulator).
 DepthReport analyze_depth(const BroadcastScheme& scheme);
-
-/// How the word scheduler picks senders from the eligible pool — the
-/// earliest-first rule of Lemma 4.6 (paper, low degree) vs. a latest-first
-/// variant that trades degree for depth by preferring freshly-added
-/// senders... which in fact *deepens* chains; and a depth-greedy variant
-/// that picks the eligible sender with the smallest current depth.
-enum class FeedOrder {
-  kEarliestFirst,  ///< the paper's rule (Lemma 4.6 degree bounds hold)
-  kLatestFirst,    ///< adversarial ablation: deepest chains
-  kShallowest,     ///< depth-greedy: minimize receiver depth
-};
-
-/// Variant of build_scheme_from_word with a configurable feeding order.
-/// kEarliestFirst reproduces build_scheme_from_word exactly.
-BroadcastScheme build_scheme_from_word_ordered(const Instance& instance,
-                                               const Word& word, double T,
-                                               FeedOrder order);
 
 }  // namespace bmp

@@ -112,9 +112,6 @@ bool greedy_test_into(const BasicInstance<Num>& instance, const Num& T,
     }
 
     st.append(letter, instance, T);
-    // Clamp tolerance-scale negatives introduced by tie resolution.
-    if (st.open_avail < Num(0)) st.open_avail = Num(0);
-    if (st.guarded_avail < Num(0)) st.guarded_avail = Num(0);
     word.push_back(letter);
   }
   return true;
@@ -137,9 +134,11 @@ bool greedy_test_into(const BasicInstance<Num>& instance, const Num& T,
 /// those boundaries exactly at dyadic probe values, where double roundoff
 /// would otherwise flip the branch and spuriously reject a feasible T. The
 /// implementation therefore resolves ties within greedy_tie_tolerance in
-/// favor of the guarded letter — matching the exact-arithmetic behavior —
-/// and clamps the state's tolerance-scale negatives. Rational
-/// instantiations keep tol = 0 (bit-exact spec).
+/// favor of the guarded letter — matching the exact-arithmetic behavior.
+/// The prefix state is not clamped, so an accepted word may miss validity
+/// by up to one tie per letter; word_shortfall measures by how much, and
+/// solve_acyclic lowers its claim by that amount when it exceeds 1e-9·T.
+/// Rational instantiations keep tol = 0 (bit-exact spec).
 template <typename Num>
 std::optional<Word> greedy_test(const BasicInstance<Num>& instance, const Num& T,
                                 GreedyPolicy policy = GreedyPolicy::kPaper) {

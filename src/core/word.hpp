@@ -72,31 +72,42 @@ struct PrefixState {
       ++guardeds;
       guarded_avail = guarded_avail + instance.b(instance.n() + guardeds);
     } else {
-      const Num zero(0);
       const Num from_guarded = guarded_avail < T ? guarded_avail : T;
       const Num from_open = T - from_guarded;
       guarded_avail = guarded_avail - from_guarded;
       open_open = open_open + from_open;
       ++opens;
       open_avail = open_avail - from_open + instance.b(opens);
-      (void)zero;
     }
   }
 };
 
-/// Validity check of a complete word for throughput T (appendix IX-C
-/// conditions). Exact when Num = util::Rational.
+/// How far a complete word misses validity for throughput T (appendix
+/// IX-C): the largest T - O(π') before a G letter or T - O(π') - G(π')
+/// before an O letter, walking the recursions above without clamping; 0
+/// when the word is valid. The letter counts must match the instance.
 template <typename Num>
-bool check_word(const BasicInstance<Num>& instance, const Word& word, const Num& T) {
-  if (count_open(word) != instance.n() || count_guarded(word) != instance.m()) {
-    return false;
-  }
+Num word_shortfall(const BasicInstance<Num>& instance, const Word& word,
+                   const Num& T) {
   auto st = PrefixState<Num>::initial(instance);
+  Num worst(0);
   for (const Letter letter : word) {
-    if (!st.can_append(letter, instance, T)) return false;
+    const Num have = letter == Letter::kGuarded
+                         ? st.open_avail
+                         : st.open_avail + st.guarded_avail;
+    if (worst < T - have) worst = T - have;
     st.append(letter, instance, T);
   }
-  return true;
+  return worst;
+}
+
+/// Validity check of a complete word for throughput T. Exact when
+/// Num = util::Rational.
+template <typename Num>
+bool check_word(const BasicInstance<Num>& instance, const Word& word, const Num& T) {
+  return count_open(word) == instance.n() &&
+         count_guarded(word) == instance.m() &&
+         !(Num(0) < word_shortfall(instance, word, T));
 }
 
 /// All words with `opens` O letters and `guardeds` G letters, in

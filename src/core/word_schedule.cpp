@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <stdexcept>
+
+#include "bmp/core/greedy_test.hpp"
 
 namespace bmp {
 
@@ -12,28 +15,41 @@ struct SenderSlot {
   double residual;
 };
 
-/// Draws `need` units from the pool front-first, adding edges to `receiver`.
-/// Returns the amount actually drawn.
+/// Draws `need` units from the pool in `order`, adding edges to `receiver`
+/// and raising its depth past each sender it draws from. Returns the amount
+/// actually drawn.
 double drain(std::deque<SenderSlot>& pool, int receiver, double need,
-             BroadcastScheme& scheme, double eps) {
+             BroadcastScheme& scheme, double eps, FeedOrder order,
+             std::vector<int>& depth) {
   double drawn = 0.0;
   while (need > eps && !pool.empty()) {
-    SenderSlot& front = pool.front();
-    const double take = std::min(front.residual, need);
+    auto slot = pool.begin();
+    if (order == FeedOrder::kLatestFirst) {
+      slot = std::prev(pool.end());
+    } else if (order == FeedOrder::kShallowest) {
+      slot = std::min_element(pool.begin(), pool.end(),
+                              [&depth](const SenderSlot& a, const SenderSlot& b) {
+                                return depth[static_cast<std::size_t>(a.id)] <
+                                       depth[static_cast<std::size_t>(b.id)];
+                              });
+    }
+    const double take = std::min(slot->residual, need);
     if (take > eps) {
-      scheme.add(front.id, receiver, take);
-      front.residual -= take;
+      scheme.add(slot->id, receiver, take);
+      slot->residual -= take;
       need -= take;
       drawn += take;
+      int& d = depth[static_cast<std::size_t>(receiver)];
+      d = std::max(d, depth[static_cast<std::size_t>(slot->id)] + 1);
     }
-    if (front.residual <= eps) pool.pop_front();
+    if (slot->residual <= eps) pool.erase(slot);
   }
   return drawn;
 }
 }  // namespace
 
 WordSchedule build_scheme_from_word(const Instance& instance, const Word& word,
-                                    double T, bool with_trace) {
+                                    double T, bool with_trace, FeedOrder order) {
   if (count_open(word) != instance.n() || count_guarded(word) != instance.m()) {
     throw std::invalid_argument(
         "build_scheme_from_word: word letter counts do not match instance");
@@ -41,20 +57,11 @@ WordSchedule build_scheme_from_word(const Instance& instance, const Word& word,
   if (T < 0.0) throw std::invalid_argument("build_scheme_from_word: negative T");
 
   WordSchedule result{BroadcastScheme(instance.size()), {}, {}};
-  // Relative tolerance: must scale with T (an absolute floor would swallow
-  // entire bandwidths on, e.g., Gbit-vs-bit unit choices). The second term
-  // covers the greedy's tie resolution: greedy_test accepts words while
-  // clamping tolerance-scale negatives (up to greedy_tie_tolerance =
-  // 1e-12 * total_sum per letter), so on instances of a few thousand nodes
-  // a valid word from the dichotomic search can run the pools dry by that
-  // accumulated slack — a purely T-relative eps would reject it here. The
-  // flip side is deliberate: when T is orders of magnitude below the
-  // platform's total bandwidth, the greedy's own decisions were only
-  // resolved to total_sum precision, so this builder cannot be (and is not)
-  // stricter than the test that produced the word; callers needing the
-  // realized rate re-measure it (flow::scheme_throughput is now one sweep).
-  const double eps = 1e-9 * T + 1e-12 * static_cast<double>(instance.size()) *
-                                    instance.total_sum();
+  // Relative to T and to the instance (never an absolute floor, which
+  // would swallow whole bandwidths on Gbit-vs-bit unit choices), and no
+  // looser than the ties GreedyTest resolved when it accepted the word.
+  const double eps = 1e-9 * T + greedy_tie_tolerance(instance, T);
+  std::vector<int> depth(static_cast<std::size_t>(instance.size()), 0);
 
   std::deque<SenderSlot> open_pool;
   std::deque<SenderSlot> guarded_pool;
@@ -83,7 +90,8 @@ WordSchedule build_scheme_from_word(const Instance& instance, const Word& word,
     if (letter == Letter::kGuarded) {
       ++guardeds;
       const int node = instance.n() + guardeds;
-      const double got = drain(open_pool, node, T, result.scheme, eps);
+      const double got =
+          drain(open_pool, node, T, result.scheme, eps, order, depth);
       if (got + eps < T) {
         throw std::invalid_argument(
             "build_scheme_from_word: word invalid for T (open pool dry before " +
@@ -95,9 +103,10 @@ WordSchedule build_scheme_from_word(const Instance& instance, const Word& word,
     } else {
       ++opens;
       const int node = opens;
-      const double from_guarded = drain(guarded_pool, node, T, result.scheme, eps);
-      const double from_open =
-          drain(open_pool, node, T - from_guarded, result.scheme, eps);
+      const double from_guarded =
+          drain(guarded_pool, node, T, result.scheme, eps, order, depth);
+      const double from_open = drain(open_pool, node, T - from_guarded,
+                                     result.scheme, eps, order, depth);
       if (from_guarded + from_open + eps < T) {
         throw std::invalid_argument(
             "build_scheme_from_word: word invalid for T (pools dry before " +

@@ -131,7 +131,6 @@ int Execution::add_node(double upload_budget) {
   node.skip_before = emitted_;  // live-edge join: no catch-up of old chunks
   node.next_missing = emitted_;
   nodes_.push_back(std::move(node));
-  ++alive_nodes_;
   if (id == 0 && (emission_rate_ > 0.0 ||
                   (config_.total_chunks > 0 &&
                    emitted_ < config_.total_chunks))) {
@@ -173,7 +172,6 @@ void Execution::remove_node(int id) {
     return;
   }
   node.alive = false;
-  --alive_nodes_;
   // The departed copies stop counting toward rarity.
   for (int chunk = node.skip_before; chunk < emitted_; ++chunk) {
     if (bit(node.have, chunk)) {
@@ -203,7 +201,6 @@ void Execution::crash_node(int id) {
   if (!node.alive) return;  // a crash on a corpse is a no-op
   node.alive = false;
   node.crashed = true;
-  --alive_nodes_;
   // The crashed copies stop counting toward rarity — survivors must
   // re-spread anything the corpse alone held onward.
   for (int chunk = node.skip_before; chunk < emitted_; ++chunk) {
@@ -515,10 +512,6 @@ const LinkProfile& Execution::egress_profile(int id) const {
 void Execution::set_edge_profile(int from, int to, const LinkProfile& profile) {
   check_link_profile(profile, "Execution::set_edge_profile");
   edge_profiles_[std::make_pair(from, to)] = profile;
-}
-
-void Execution::clear_edge_profile(int from, int to) {
-  edge_profiles_.erase(std::make_pair(from, to));
 }
 
 const LinkProfile& Execution::profile_for(const Pipe& pipe) const {

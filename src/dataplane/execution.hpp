@@ -290,7 +290,6 @@ class Execution {
   /// Per-edge override, stronger than the sender's egress profile; persists
   /// across reconcile_edges (a re-planned edge re-acquires it).
   void set_edge_profile(int from, int to, const LinkProfile& profile);
-  void clear_edge_profile(int from, int to);
 
   /// Cumulative per-pipe counters, ordered by (from, to) — deterministic.
   [[nodiscard]] std::vector<EdgeStats> edge_stats() const;
@@ -310,8 +309,6 @@ class Execution {
   [[nodiscard]] double now() const { return now_; }
   [[nodiscard]] int emitted() const { return emitted_; }
   [[nodiscard]] int num_nodes() const { return static_cast<int>(nodes_.size()); }
-  [[nodiscard]] int alive_nodes() const { return alive_nodes_; }
-  [[nodiscard]] int num_pipes() const { return static_cast<int>(pipe_of_.size()); }
   [[nodiscard]] bool node_alive(int id) const;
   [[nodiscard]] int delivered(int id) const;
   [[nodiscard]] double completion_time(int id) const;
@@ -486,7 +483,6 @@ class Execution {
   double emission_rate_ = 0.0;
 
   std::vector<Node> nodes_;
-  int alive_nodes_ = 0;
   std::vector<Pipe> pipes_;
   std::vector<int> free_pipes_;
   std::uint64_t pipe_streams_ = 0;  ///< loss-stream index of the next pipe

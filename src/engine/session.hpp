@@ -127,11 +127,6 @@ class Session {
   [[nodiscard]] double current_rate() const { return current_rate_; }
   [[nodiscard]] int incremental_replans() const { return incremental_replans_; }
   [[nodiscard]] int full_replans() const { return full_replans_; }
-  /// Cumulative statistics of the session's verification engine (tier
-  /// counts, solve counts, wall-clock time).
-  [[nodiscard]] const flow::VerifyStats& verify_stats() const {
-    return verifier_.stats();
-  }
   /// Whether the constructor's plan was verified planner-side (it was
   /// computed, not served from cache, with verify_plans on) — so a host
   /// can count session creation in its verification telemetry.

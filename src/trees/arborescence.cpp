@@ -37,13 +37,21 @@ Decomposition decompose_acyclic(const BroadcastScheme& scheme, double T,
   const double stop = 1e-9 * T;
   const double erase = 1e-13 * T;
   // Nodes that the scheme feeds must stay spanned until the weight budget
-  // is exhausted.
+  // is exhausted. The budget is the scheme's own minimum inflow, not T: a
+  // node fed a hair short of T would otherwise run dry while weight
+  // remains. Every fed node keeps a residual inflow of at least
+  // `remaining`, so each peel still zeroes an edge or finishes.
   std::vector<bool> fed(static_cast<std::size_t>(N), false);
+  double remaining = T;
   for (int v = 1; v < N; ++v) {
-    fed[static_cast<std::size_t>(v)] = !in[static_cast<std::size_t>(v)].empty();
+    const auto& senders = in[static_cast<std::size_t>(v)];
+    if (senders.empty()) continue;
+    fed[static_cast<std::size_t>(v)] = true;
+    double inflow = 0.0;
+    for (const auto& [sender, rate] : senders) inflow += rate;
+    remaining = std::min(remaining, inflow);
   }
 
-  double remaining = T;
   const int max_trees = scheme.edge_count() + 1;
   for (int round = 0; round < max_trees && remaining > stop; ++round) {
     WeightedArborescence tree;
@@ -86,7 +94,8 @@ Decomposition decompose_acyclic(const BroadcastScheme& scheme, double T,
   if (remaining > stop) {
     throw std::logic_error("decompose_acyclic: failed to exhaust throughput");
   }
-  // Report exactly T so callers can schedule the full stream on the trees.
+  // Fold the leftover (at most `stop`) into the last tree so the weights
+  // sum to the budget.
   if (!result.trees.empty()) result.trees.back().weight += remaining;
   result.total_weight += remaining;
   return result;

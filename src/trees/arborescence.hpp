@@ -8,7 +8,7 @@
 // inflow exactly T, which admits a simple greedy peeling: each node picks a
 // parent among its positive-residual in-edges, the minimum residual (capped
 // by the remaining weight) is peeled off as one tree, and the invariant
-// "residual inflow == remaining weight at every node" is preserved because
+// "residual inflow >= remaining weight at every node" is preserved because
 // each tree uses exactly one in-edge per node. Each peel zeroes at least
 // one edge or finishes, so at most |E| + 1 trees are produced.
 #pragma once
@@ -33,8 +33,10 @@ struct Decomposition {
 };
 
 /// Decomposes an acyclic scheme feeding every non-source node at rate T
-/// into weighted arborescences. Throws std::invalid_argument when the
-/// scheme is cyclic or some node's inflow deviates from T beyond tolerance.
+/// into weighted arborescences whose weights sum to the smallest inflow
+/// (T when no node falls short of it). Throws std::invalid_argument when
+/// the scheme is cyclic or some node's inflow deviates from T beyond
+/// tolerance.
 Decomposition decompose_acyclic(const BroadcastScheme& scheme, double T,
                                 double tol = 1e-6);
 

@@ -44,24 +44,6 @@ TEST(Depth, RejectsCyclicSchemes) {
   EXPECT_THROW(analyze_depth(s), std::invalid_argument);
 }
 
-TEST(Depth, OrderedBuilderEarliestMatchesPaperBuilder) {
-  util::Xoshiro256 rng(61);
-  for (int rep = 0; rep < 40; ++rep) {
-    const int n = 1 + static_cast<int>(rng.below(8));
-    const int m = static_cast<int>(rng.below(8));
-    const Instance inst = testing::random_instance(rng, n, m);
-    const AcyclicSolution sol = solve_acyclic(inst);
-    if (sol.throughput <= 1e-9) continue;
-    const BroadcastScheme ordered = build_scheme_from_word_ordered(
-        inst, sol.word, sol.throughput, FeedOrder::kEarliestFirst);
-    for (int i = 0; i < inst.size(); ++i) {
-      for (const auto& [to, r] : sol.scheme.out_edges(i)) {
-        EXPECT_NEAR(ordered.rate(i, to), r, 1e-9);
-      }
-    }
-  }
-}
-
 TEST(Depth, AllFeedOrdersProduceValidSchemes) {
   util::Xoshiro256 rng(62);
   for (int rep = 0; rep < 60; ++rep) {
@@ -73,7 +55,8 @@ TEST(Depth, AllFeedOrdersProduceValidSchemes) {
     for (const auto order : {FeedOrder::kEarliestFirst, FeedOrder::kLatestFirst,
                              FeedOrder::kShallowest}) {
       const BroadcastScheme s =
-          build_scheme_from_word_ordered(inst, sol.word, sol.throughput, order);
+          build_scheme_from_word(inst, sol.word, sol.throughput, false, order)
+              .scheme;
       EXPECT_TRUE(s.validate(inst).empty());
       EXPECT_TRUE(s.is_acyclic());
       EXPECT_LE(s.max_inflow_deviation(sol.throughput),
@@ -92,8 +75,9 @@ TEST(Depth, ShallowestOrderNeverDeeperThanLatestFirst) {
     const AcyclicSolution sol = solve_acyclic(inst);
     if (sol.throughput <= 1e-9) continue;
     const auto depth_of = [&](FeedOrder order) {
-      return analyze_depth(build_scheme_from_word_ordered(
-                               inst, sol.word, sol.throughput, order))
+      return analyze_depth(build_scheme_from_word(inst, sol.word,
+                                                  sol.throughput, false, order)
+                               .scheme)
           .max_depth;
     };
     const int shallow = depth_of(FeedOrder::kShallowest);

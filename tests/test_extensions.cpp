@@ -1,19 +1,24 @@
 // Tests for the extension modules: churn experiment (§VII), download-cap
 // throughput (beyond the paper's "downloads are large enough" assumption),
-// and platform/scheme serialization.
+// platform/scheme serialization, and exact acyclic claims at scale.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "bmp/core/acyclic_search.hpp"
 #include "bmp/core/bounds.hpp"
 #include "bmp/flow/maxflow.hpp"
 #include "bmp/flow/node_caps.hpp"
+#include "bmp/flow/verify.hpp"
+#include "bmp/gen/generator.hpp"
 #include "bmp/net/instance_io.hpp"
 #include "bmp/sim/churn.hpp"
+#include "bmp/trees/arborescence.hpp"
 #include "test_helpers.hpp"
 
 namespace bmp {
@@ -239,6 +244,91 @@ TEST(InstanceIo, SchemeRoundTrip) {
 TEST(InstanceIo, SchemeParseRejectsGarbage) {
   EXPECT_THROW(net::parse_scheme_string("0 oops 1.0\n", 3),
                std::invalid_argument);
+}
+
+// ---------- exact claims at scale ----------
+
+/// Plans `instance` with solve_acyclic and returns why the plan fails its
+/// claim (empty when it holds): a throw, or a verified throughput more
+/// than 1e-9 relative off the claimed one.
+std::string claim_failure(const Instance& instance) {
+  try {
+    const AcyclicSolution sol = solve_acyclic(instance);
+    flow::Verifier verifier;
+    const double verified = verifier.verify(sol.scheme).throughput;
+    const double gap = std::abs(verified - sol.throughput);
+    if (gap > 1e-9 * sol.throughput) {
+      return "gap " + std::to_string(gap / sol.throughput) + " relative";
+    }
+  } catch (const std::exception& error) {
+    return error.what();
+  }
+  return {};
+}
+
+// perfbench plan_mix's acyclic platforms: 500-2000 peers, half guarded,
+// Unif100 open and LogNormal1 guarded bandwidths, the source at the
+// cyclic bound's fixed point. Seeds 34939 and 128424 once ran a pool dry.
+TEST(ExactClaims, PlanMixPlatformsHoldTheirClaims) {
+  std::vector<std::uint64_t> seeds{34939, 128424};
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) seeds.push_back(seed);
+  int failures = 0;
+  for (const std::uint64_t seed : seeds) {
+    util::Xoshiro256 rng(seed);
+    const int size = 500 + static_cast<int>(1500.0 * rng.uniform());
+    const int guarded = size / 2;
+    std::vector<double> open =
+        gen::sample_many(gen::Dist::kUnif100, size - guarded, rng);
+    std::vector<double> closed =
+        gen::sample_many(gen::Dist::kLogNormal1, guarded, rng);
+    const double source = fixed_point_source_bandwidth(open, closed);
+    const std::string failure =
+        claim_failure(Instance(source, std::move(open), std::move(closed)));
+    if (!failure.empty() && ++failures <= 5) {
+      ADD_FAILURE() << "seed " << seed << ": " << failure;
+    }
+  }
+  EXPECT_EQ(failures, 0);
+}
+
+TEST(ExactClaims, LargeRandomPlatformsHoldTheirClaims) {
+  for (const double p_open : {0.5, 1.0}) {
+    for (const int size : {10000, 20000, 50000}) {
+      for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        util::Xoshiro256 rng(seed);
+        const Instance instance =
+            gen::random_instance({size, p_open, gen::Dist::kUnif100}, rng);
+        EXPECT_EQ(claim_failure(instance), "")
+            << "p_open " << p_open << ", " << size << " peers, seed " << seed;
+      }
+    }
+  }
+}
+
+// A node fed a hair short of the claim must not run the peeling dry.
+TEST(ExactClaims, ThousandPeerPlansDecomposeIntoTrees) {
+  for (const double p_open : {0.5, 1.0}) {
+    for (const int size : {1000, 2000}) {
+      for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        util::Xoshiro256 rng(seed);
+        const Instance instance =
+            gen::random_instance({size, p_open, gen::Dist::kUnif100}, rng);
+        const AcyclicSolution sol = solve_acyclic(instance);
+        std::string failure;
+        try {
+          const trees::Decomposition d =
+              trees::decompose_acyclic(sol.scheme, sol.throughput);
+          if (!trees::validate_decomposition(sol.scheme, d, sol.throughput)) {
+            failure = "invalid decomposition";
+          }
+        } catch (const std::exception& error) {
+          failure = error.what();
+        }
+        EXPECT_EQ(failure, "")
+            << "p_open " << p_open << ", " << size << " peers, seed " << seed;
+      }
+    }
+  }
 }
 
 }  // namespace
