@@ -278,8 +278,7 @@ ChaosResult run_storm(const bmp::runtime::ScenarioScript& script,
 int main(int argc, char** argv) {
   bmp::benchutil::CommonCli cli(argc, argv);
   const bool quick = cli.quick;
-  const int peers =
-      bmp::benchutil::env_int("BMP_CHAOS_PEERS", quick ? 150 : 500);
+  const int peers = quick ? 150 : 500;
   const double horizon = quick ? 14.0 : 24.0;
   const double probe_at = quick ? 10.0 : 16.0;
 

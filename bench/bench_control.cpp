@@ -139,8 +139,7 @@ LoopResult run_loop(const bmp::runtime::ScenarioScript& script, bool adaptive,
 int main(int argc, char** argv) {
   bmp::benchutil::CommonCli cli(argc, argv);
   const bool quick = cli.quick;
-  const int peers =
-      bmp::benchutil::env_int("BMP_CONTROL_PEERS", quick ? 150 : 500);
+  const int peers = quick ? 150 : 500;
   const double horizon = quick ? 14.0 : 24.0;
   const double probe_at = quick ? 10.0 : 16.0;
 

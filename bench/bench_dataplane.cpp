@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
   const bool quick = cli.quick;
   const std::string& json_path = cli.json;
   const std::string& trace_path = cli.trace;
-  const int peers =
-      bmp::benchutil::env_int("BMP_DATAPLANE_PEERS", quick ? 150 : 500);
+  const int peers = quick ? 150 : 500;
   const int chunks = quick ? 200 : 300;
 
   bmp::util::print_banner(std::cout,
@@ -249,8 +248,7 @@ int main(int argc, char** argv) {
   const int churn_peers = quick ? 120 : 500;
   const double horizon = quick ? 6.0 : 20.0;
   const bmp::runtime::ScenarioScript script = churn_script(
-      churn_peers, horizon,
-      static_cast<std::uint64_t>(bmp::benchutil::env_int("BMP_DATAPLANE_SEED", 7)));
+      churn_peers, horizon, /*seed=*/7);
   bmp::runtime::RuntimeConfig runtime_config;
   runtime_config.broker_headroom = 0.05;
   runtime_config.collect_timing = false;

@@ -35,10 +35,10 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 int main(int argc, char** argv) {
   bmp::benchutil::CommonCli cli(argc, argv);
   using bmp::util::Table;
-  const int requests = bmp::benchutil::env_int("BMP_ENGINE_REQUESTS", 1000);
-  const int size = bmp::benchutil::env_int("BMP_ENGINE_SIZE", 100);
-  const int distinct = bmp::benchutil::env_int("BMP_ENGINE_DISTINCT", 50);
-  const int max_threads = bmp::benchutil::env_int("BMP_ENGINE_THREADS", 8);
+  const int requests = 1000;
+  const int size = 100;
+  const int distinct = 50;
+  const int max_threads = 8;
 
   bmp::util::print_banner(std::cout,
                           "Planning engine — plans/sec, cold vs. warm cache");
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   // Churn sessions: small departures (2% of peers per wave) must be
   // absorbed by incremental repair at >= 90% of the design rate.
   bmp::util::print_banner(std::cout, "Churn sessions — incremental repair");
-  const int session_reps = bmp::benchutil::env_int("BMP_ENGINE_SESSIONS", 10);
+  const int session_reps = 10;
   bmp::engine::Planner session_planner;
   bmp::util::RunningStats recovery;
   int incremental = 0;

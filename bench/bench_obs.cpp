@@ -126,10 +126,8 @@ double run_shard(const bmp::runtime::ScenarioScript& script, double chunk,
 int main(int argc, char** argv) {
   bmp::benchutil::CommonCli cli(argc, argv);
   const bool quick = cli.quick;
-  const int shards =
-      bmp::benchutil::env_int("BMP_OBS_SHARDS", quick ? 20 : 25);
-  const int peers =
-      bmp::benchutil::env_int("BMP_OBS_PEERS", quick ? 500 : 2000);
+  const int shards = quick ? 20 : 25;
+  const int peers = quick ? 500 : 2000;
   const double horizon = quick ? 5.0 : 6.0;
   const int ab_rounds = quick ? 21 : 11;
   const std::size_t lineage_budget = 1u << 13;  // retained-hop target

@@ -1198,6 +1198,94 @@ bool run_oneport_motivation(obs::Profiler*) {
   return ok;
 }
 
+// E15 — Theorem 4.1's running time as work counters, which (unlike wall
+// time) compare across hosts: GreedyTest and the Lemma 4.6 construction do
+// linear work, and the dichotomic search adds a probe count that does not
+// grow with N. Counted at N and 2N on Theorem 6.3's family I(alpha*, k)
+// (47k opens, 20k guardeds), which doubles exactly with k and keeps
+// T*_ac < T*, so every search runs its full bisection. The bar holds every
+// 2N/N work ratio at or below 2.1 (N log N work would read ~2.15 at these
+// sizes, quadratic 4).
+//
+// A GreedyTest probe places at most one letter per node and stops at its
+// first rejection, so the letters it places are its work.
+struct SearchWork {
+  double throughput = 0.0;
+  int probes = 0;            ///< GreedyTest calls
+  std::int64_t letters = 0;  ///< letters placed over every probe
+};
+
+/// Reruns optimal_acyclic_throughput's bisection (same bound, tolerance
+/// and 100 halvings), counting the work it does.
+SearchWork count_search_work(const Instance& inst) {
+  SearchWork work;
+  const double hi0 = cyclic_upper_bound(inst);
+  const double tie_tol = greedy_tie_tolerance(inst, hi0);
+  Word word;
+  const auto probe = [&](double T) {
+    ++work.probes;
+    const bool ok =
+        greedy_test_into(inst, T, word, GreedyPolicy::kPaper, tie_tol);
+    work.letters += static_cast<std::int64_t>(word.size());
+    return ok;
+  };
+  if (probe(hi0)) {
+    work.throughput = hi0;
+    return work;
+  }
+  double lo = 0.0;
+  double hi = hi0;
+  probe(lo);
+  for (int k = 0; k < 100; ++k) {
+    const double mid = 0.5 * (lo + hi);
+    (probe(mid) ? lo : hi) = mid;
+  }
+  work.throughput = lo;
+  return work;
+}
+
+bool run_thm41_linear(obs::Profiler*) {
+  const int base_k = 128;
+  const double bar = 2.1;
+
+  util::print_banner(std::cout,
+                     "Theorem 4.1 — linear work at N vs 2N (work counters)");
+
+  Table t({"N", "search probes", "GreedyTest letters", "letters/(probe*N)",
+           "scheme edges", "edges/N"});
+  std::array<SearchWork, 2> search;
+  std::array<int, 2> edges{};
+  bool ok = true;
+  for (int k = 0; k < 2; ++k) {
+    const Instance inst = theory::thm63_instance(base_k << k);
+    const int size = inst.n() + inst.m();
+    search[k] = count_search_work(inst);
+    // The counted rerun must be the library's search, probe for probe.
+    ok = ok && search[k].throughput == optimal_acyclic_throughput(inst);
+    edges[k] = solve_acyclic(inst).scheme.edge_count();
+    t.add_row({Table::num(size), Table::num(search[k].probes),
+               Table::num(static_cast<long>(search[k].letters)),
+               Table::num(static_cast<double>(search[k].letters) /
+                              (search[k].probes * static_cast<double>(size)),
+                          3),
+               Table::num(edges[k]),
+               Table::num(static_cast<double>(edges[k]) / size, 3)});
+  }
+  const double probe_ratio =
+      static_cast<double>(search[1].probes) / search[0].probes;
+  const double letter_ratio = static_cast<double>(search[1].letters) /
+                              static_cast<double>(search[0].letters);
+  const double edge_ratio = static_cast<double>(edges[1]) / edges[0];
+  t.add_row({"2N/N", Table::num(probe_ratio, 3), Table::num(letter_ratio, 3),
+             "", Table::num(edge_ratio, 3), ""});
+  t.print(std::cout);
+  t.maybe_write_csv("thm41_linear");
+
+  std::cout << "\nbar: every 2N/N work ratio <= " << Table::num(bar, 1)
+            << " (at most linear growth; rejected probes stop early, so "
+               "letters may grow slower)\n";
+  return ok && probe_ratio <= bar && letter_ratio <= bar && edge_ratio <= bar;
+}
 
 struct Experiment {
   const char* name;
@@ -1247,6 +1335,9 @@ constexpr Experiment kExperiments[] = {
      "unexpected churn behavior"},
     {"oneport_motivation", "Sec. II.A", run_oneport_motivation,
      "one-port penalty grows with heterogeneity", "no one-port penalty observed"},
+    {"thm41_linear", "Thm 4.1 (linear time)", run_thm41_linear,
+     "GreedyTest, search and construction work grow at most linearly in N",
+     "work grows faster than linearly in N"},
 };
 
 }  // namespace

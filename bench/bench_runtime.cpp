@@ -58,11 +58,9 @@ int main(int argc, char** argv) {
   const bool quick = cli.quick;
   const std::string& json_path = cli.json;
   const std::string& trace_path = cli.trace;
-  const int peers =
-      bmp::benchutil::env_int("BMP_RUNTIME_PEERS", quick ? 120 : 500);
+  const int peers = quick ? 120 : 500;
   const double horizon = quick ? 6.0 : 20.0;
-  const auto seed =
-      static_cast<std::uint64_t>(bmp::benchutil::env_int("BMP_RUNTIME_SEED", 7));
+  const std::uint64_t seed = 7;
 
   bmp::util::print_banner(std::cout, "Multi-channel runtime — event loop");
   const bmp::runtime::ScenarioScript script = make_script(peers, horizon, seed);

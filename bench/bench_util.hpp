@@ -27,13 +27,6 @@ namespace bmp::benchutil {
 /// the intersection).
 inline constexpr int kBenchSchema = 2;
 
-/// Integer env override with default (e.g. BMP_ENGINE_REQUESTS).
-inline int env_int(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::atoi(value);
-}
-
 /// Commit id for stamping JSON perf reports, so BENCH_*.json artifacts
 /// line up into a trajectory across commits: GITHUB_SHA when CI provides
 /// it, `git rev-parse HEAD` for local runs, "unknown" outside a checkout.
@@ -146,16 +139,6 @@ inline std::string arg_value(int argc, char** argv, const char* flag) {
   return {};
 }
 
-/// Parses `--json <path>` from argv; empty string when absent.
-inline std::string json_path_arg(int argc, char** argv) {
-  return arg_value(argc, argv, "--json");
-}
-
-/// Parses `--trace <path>` from argv; empty string when absent.
-inline std::string trace_path_arg(int argc, char** argv) {
-  return arg_value(argc, argv, "--trace");
-}
-
 /// True when `flag` (e.g. "--quick") appears in argv.
 inline bool has_flag(int argc, char** argv, const char* flag) {
   for (int i = 1; i < argc; ++i) {
@@ -251,7 +234,10 @@ inline int finish(CommonCli& cli, const std::string& name, bool ok) {
 /// job can inject a deliberate slowdown and assert that tools/bench_diff
 /// catches it. Never set outside that self-test.
 inline void selftest_sleep() {
-  static const int us = env_int("BMP_PERF_SELFTEST_SLEEP_US", 0);
+  static const int us = [] {
+    const char* value = std::getenv("BMP_PERF_SELFTEST_SLEEP_US");
+    return value == nullptr ? 0 : std::atoi(value);
+  }();
   if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 

@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
   bmp::benchutil::CommonCli cli(argc, argv);
   const bool quick = cli.quick;
   const std::string& json_path = cli.json;
-  const int acyclic_peers =
-      bmp::benchutil::env_int("BMP_VERIFY_PEERS", quick ? 500 : 2000);
+  const int acyclic_peers = quick ? 500 : 2000;
   const int cyclic_peers = quick ? 150 : 500;
   bmp::util::Xoshiro256 rng(20100419);
 

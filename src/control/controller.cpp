@@ -2,11 +2,56 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 namespace bmp::control {
+
+namespace {
+
+/// Straggler detector: on the EWMA of each node's per-window delivered
+/// rate over the stream's emission rate, *normalized by the cohort
+/// median* — chunk dynamics deliver a few percent under the fluid plan
+/// for everyone, so an absolute reference would leave half the
+/// population hovering at the threshold. A straggler is a node doing
+/// materially worse than its cohort.
+constexpr DetectorConfig kStraggler{0.8, 0.92, 3};
+constexpr DetectorConfig kEgress{0.85, 0.95, 2};  ///< on per-node goodput ratio
+constexpr DetectorConfig kEdge{0.8, 0.95, 3};     ///< on per-edge goodput ratio
+/// Ceiling of the failed-probe backoff, in multiples of restore_cooldown.
+constexpr double kRestoreBackoffMax = 8.0;
+/// Capacity classes: demotions quantize the telemetry estimate to
+/// multiples of 1/kCapacityClasses (never below kDemoteFloor).
+constexpr int kCapacityClasses = 8;
+constexpr double kDemoteFloor = 0.125;
+/// Judging gates. The *service* ratio (observed wire rate vs planned) is
+/// meaningful from a single transmission — each send's duration is
+/// individually informative — so it is judged from kMinServiceSends in
+/// windows with at least kMinEdgeUtilization busy fraction (a slow pipe
+/// completing one send per window must still be judged: those are
+/// exactly the browned ones). The *loss* ratio needs a real sample: its
+/// EWMA only updates in windows with at least kMinEdgeSends
+/// transmissions and carries over otherwise.
+constexpr double kMinEdgeUtilization = 0.2;
+constexpr std::uint64_t kMinServiceSends = 1;
+constexpr std::uint64_t kMinEdgeSends = 8;
+/// Nodes are only judged in windows expected to carry at least this many
+/// chunks — below that the per-window ratio is granularity noise.
+constexpr double kMinExpectedChunks = 4.0;
+/// Stale-telemetry guard TTL. A window whose edge counters (sent AND
+/// attempts) stand still is *frozen* — a telemetry blackout, not a
+/// measurement of zero — so the controller skips judging and carries its
+/// estimates instead of manufacturing a false brownout (a frozen window
+/// would otherwise read as sustained ratio 0 and demote the node). After
+/// kStaleTtl consecutive frozen windows the carried estimates expire:
+/// the smoothed signals are discarded and re-seed from the first fresh
+/// window, so pre-blackout history cannot mask a degradation that
+/// happened in the dark.
+constexpr int kStaleTtl = 6;
+
+}  // namespace
 
 void check_config(const ControllerConfig& config) {
   if (!(config.sample_interval > 0.0) || !std::isfinite(config.sample_interval)) {
@@ -15,28 +60,12 @@ void check_config(const ControllerConfig& config) {
   if (!(config.ewma_alpha > 0.0) || config.ewma_alpha > 1.0) {
     throw std::invalid_argument("Controller: ewma_alpha in (0, 1]");
   }
-  if (config.capacity_classes < 1) {
-    throw std::invalid_argument("Controller: capacity_classes must be >= 1");
-  }
-  if (!(config.demote_floor > 0.0) || config.demote_floor > 1.0) {
-    throw std::invalid_argument("Controller: demote_floor in (0, 1]");
-  }
   if (config.action_cooldown < 0.0 || config.restore_cooldown < 0.0) {
     throw std::invalid_argument("Controller: cooldowns must be >= 0");
-  }
-  if (!(config.replan_drift > 0.0)) {
-    throw std::invalid_argument("Controller: replan_drift must be > 0");
   }
   if (config.restore_grid < 1) {
     throw std::invalid_argument("Controller: restore_grid must be >= 1");
   }
-  if (config.stale_ttl < 1) {
-    throw std::invalid_argument("Controller: stale_ttl must be >= 1");
-  }
-  // Detector configs validate themselves on first construction.
-  (void)HysteresisDetector(config.straggler);
-  (void)HysteresisDetector(config.egress);
-  (void)HysteresisDetector(config.edge);
 }
 
 Controller::Controller(ControllerConfig config) : config_(config) {
@@ -44,9 +73,9 @@ Controller::Controller(ControllerConfig config) : config_(config) {
 }
 
 double Controller::quantize(double value) const {
-  const double classes = static_cast<double>(config_.capacity_classes);
+  const double classes = static_cast<double>(kCapacityClasses);
   double q = std::floor(value * classes + 1e-9) / classes;
-  return std::clamp(q, config_.demote_floor, 1.0);
+  return std::clamp(q, kDemoteFloor, 1.0);
 }
 
 void Controller::forgive(int id) {
@@ -56,8 +85,8 @@ void Controller::forgive(int id) {
     if (node.factor < 1.0 && node.pardon_from < 0.0) {
       node.pardon_from = node.factor;
     }
-    node.egress_health = HysteresisDetector(config_.egress);
-    node.straggler = HysteresisDetector(config_.straggler);
+    node.egress_health = HysteresisDetector(kEgress);
+    node.straggler = HysteresisDetector(kStraggler);
     node.egress = Ewma();
     node.loss = Ewma();
     node.sustained = Ewma();
@@ -70,7 +99,7 @@ void Controller::forgive(int id) {
   }
   for (auto& [key, edge] : edges_) {
     if (key.first != id && key.second != id) continue;
-    edge.health = HysteresisDetector(config_.edge);
+    edge.health = HysteresisDetector(kEdge);
     edge.goodput = Ewma();
     edge.loss = Ewma();
     edge.stale_windows = 0;
@@ -145,7 +174,7 @@ Directive Controller::tick(const TickInputs& inputs) {
     auto edge_it = edges_.find(key);
     if (edge_it == edges_.end()) {
       EdgeState fresh;
-      fresh.health = HysteresisDetector(config_.edge);
+      fresh.health = HysteresisDetector(kEdge);
       edge_it = edges_.emplace(key, std::move(fresh)).first;
     }
     EdgeState& edge = edge_it->second;
@@ -202,8 +231,8 @@ Directive Controller::tick(const TickInputs& inputs) {
     auto node_it = nodes_.find(sample.id);
     if (node_it == nodes_.end()) {
       NodeState fresh;
-      fresh.straggler = HysteresisDetector(config_.straggler);
-      fresh.egress_health = HysteresisDetector(config_.egress);
+      fresh.straggler = HysteresisDetector(kStraggler);
+      fresh.egress_health = HysteresisDetector(kEgress);
       node_it = nodes_.emplace(sample.id, std::move(fresh)).first;
     }
     NodeState& node = node_it->second;
@@ -227,7 +256,7 @@ Directive Controller::tick(const TickInputs& inputs) {
       if (edge.health.degraded()) ++out.degraded_edges;
       continue;
     }
-    if (edge.stale_windows >= config_.stale_ttl) {
+    if (edge.stale_windows >= kStaleTtl) {
       // The carried estimates outlived their TTL in the dark; re-seed from
       // this first fresh window rather than trusting pre-blackout history.
       edge.goodput = Ewma();
@@ -245,15 +274,13 @@ Directive Controller::tick(const TickInputs& inputs) {
       // The per-edge detector (reroute trigger): service is judged from a
       // couple of sends (each transmission's duration is individually
       // informative); the loss EWMA only moves on well-sampled windows.
-      if (work.sent_delta >=
-          static_cast<std::uint64_t>(config_.min_edge_sends)) {
+      if (work.sent_delta >= kMinEdgeSends) {
         edge.loss.observe(static_cast<double>(work.lost_delta) /
                               static_cast<double>(work.sent_delta),
                           config_.ewma_alpha);
       }
-      if (work.sent_delta >=
-              static_cast<std::uint64_t>(config_.min_service_sends) &&
-          work.busy_delta >= config_.min_edge_utilization * inputs.window) {
+      if (work.sent_delta >= kMinServiceSends &&
+          work.busy_delta >= kMinEdgeUtilization * inputs.window) {
         const double service =
             (work.completed_delta / work.busy_delta) / sample.rate;
         const double goodput = service * (1.0 - edge.loss.value(0.0));
@@ -281,7 +308,7 @@ Directive Controller::tick(const TickInputs& inputs) {
       ++out.stale_nodes;
       continue;  // the stragglers census below still sees the node
     }
-    if (node.stale_windows >= config_.stale_ttl) {
+    if (node.stale_windows >= kStaleTtl) {
       // Carried estimates expired in the dark: re-seed from fresh data.
       node.egress = Ewma();
       node.loss = Ewma();
@@ -291,14 +318,13 @@ Directive Controller::tick(const TickInputs& inputs) {
     const auto acc_it = by_sender.find(sample.id);
     if (acc_it != by_sender.end() && acc_it->second.busy_rate > 0.0) {
       const SenderAcc& acc = acc_it->second;
-      if (acc.sent >= static_cast<std::uint64_t>(config_.min_edge_sends)) {
+      if (acc.sent >= kMinEdgeSends) {
         node.loss.observe(static_cast<double>(acc.lost) /
                               static_cast<double>(acc.sent),
                           config_.ewma_alpha);
       }
-      if (acc.sent >=
-              static_cast<std::uint64_t>(config_.min_service_sends) &&
-          acc.busy >= config_.min_edge_utilization * inputs.window) {
+      if (acc.sent >= kMinServiceSends &&
+          acc.busy >= kMinEdgeUtilization * inputs.window) {
         const double service = acc.completed / acc.busy_rate;
         node.last_egress_raw = service * (1.0 - node.loss.value(0.0));
         node.egress.observe(node.last_egress_raw, config_.ewma_alpha);
@@ -322,7 +348,7 @@ Directive Controller::tick(const TickInputs& inputs) {
     // the cohort median (second pass below).
     if (sample.judgeable && inputs.window > 0.0 &&
         inputs.expected_delta >=
-            config_.min_expected_chunks * inputs.chunk_size) {
+            kMinExpectedChunks * inputs.chunk_size) {
       judged.emplace_back(sample.id, delivered_delta / inputs.expected_delta);
     }
   }
@@ -355,7 +381,7 @@ Directive Controller::tick(const TickInputs& inputs) {
   }
 
   // ---- decide: demotions and restores (ascending node id) ---------------
-  const double step = 1.0 / static_cast<double>(config_.capacity_classes);
+  const double step = 1.0 / static_cast<double>(kCapacityClasses);
   for (const NodeSample& sample : inputs.nodes) {
     NodeState& node = nodes_.find(sample.id)->second;
     if (node.pardon_from >= 0.0) {
@@ -366,7 +392,7 @@ Directive Controller::tick(const TickInputs& inputs) {
       ev.detector = "heal";
       ev.action = "restore";
       ev.node = sample.id;
-      ev.threshold = config_.egress.exit;
+      ev.threshold = kEgress.exit;
       ev.estimate = node.last_estimate;
       ev.factor_before = node.pardon_from;
       ev.factor_after = 1.0;
@@ -419,13 +445,13 @@ Directive Controller::tick(const TickInputs& inputs) {
           ev.detector = "egress";
           ev.window_value = node.last_egress_raw;
           ev.ewma = node.egress.value();
-          ev.threshold = config_.egress.enter;
+          ev.threshold = kEgress.enter;
           ev.trips = node.egress_health.trips();
         } else {
           ev.detector = "straggler";
           ev.window_value = node.last_sustained_raw;
           ev.ewma = node.sustained.value();
-          ev.threshold = config_.straggler.enter;
+          ev.threshold = kStraggler.enter;
           ev.trips = node.straggler.trips();
         }
         ev.estimate = node.last_estimate;
@@ -440,7 +466,7 @@ Directive Controller::tick(const TickInputs& inputs) {
         if (inputs.now - node.last_restore <= 2.0 * probe_interval) {
           node.probe_interval =
               std::min(2.0 * probe_interval,
-                       config_.restore_backoff_max * config_.restore_cooldown);
+                       kRestoreBackoffMax * config_.restore_cooldown);
         } else {
           node.probe_interval = 0.0;  // fresh degradation: fresh probes
         }
@@ -462,7 +488,7 @@ Directive Controller::tick(const TickInputs& inputs) {
         ev.node = sample.id;
         ev.window_value = node.last_egress_raw;
         ev.ewma = node.egress.value();
-        ev.threshold = config_.egress.exit;
+        ev.threshold = kEgress.exit;
         ev.estimate = node.last_estimate;
         ev.factor_before = node.factor;
         ev.factor_after = up;
@@ -501,7 +527,7 @@ Directive Controller::tick(const TickInputs& inputs) {
     ev.to = sample.to;
     ev.window_value = edge.last_raw;
     ev.ewma = edge.goodput.value();
-    ev.threshold = config_.edge.enter;
+    ev.threshold = kEdge.enter;
     ev.estimate = limit;
     ev.factor_before = sample.rate;
     ev.factor_after = limit;
@@ -520,13 +546,13 @@ Directive Controller::tick(const TickInputs& inputs) {
       delta += std::abs(sample.nominal * factor(sample.id) - sample.granted);
     }
     out.drift = granted_total > 0.0 ? delta / granted_total : 0.0;
-    out.force_replan = out.drift > config_.replan_drift;
+    out.force_replan = out.drift > kReplanDrift;
     if (out.force_replan) {
       Evidence ev;
       ev.detector = "drift";
       ev.action = "replan";
       ev.drift = out.drift;
-      ev.threshold = config_.replan_drift;
+      ev.threshold = kReplanDrift;
       out.evidence.push_back(ev);
     }
   }

@@ -35,19 +35,22 @@
 
 namespace bmp::control {
 
+/// Fingerprint-distance bound: a directive whose L1 capacity change
+/// exceeds this fraction of the granted total escalates from incremental
+/// patching to a full re-plan through the planner cache — correlated
+/// degradations (a regional brownout) re-plan once, properly, while
+/// isolated demotions stay cheap local patches. Full re-plans resplice
+/// the whole running overlay, so the bound must not be so low that
+/// routine probe traffic triggers them.
+inline constexpr double kReplanDrift = 0.05;
+/// Nodes are only judged once their join is at least this many seconds
+/// old (pipeline fill + rarest-first warm-up grace).
+inline constexpr double kWarmupGrace = 1.0;
+
 struct ControllerConfig {
   /// Scenario-clock sampling period (the host ticks on this grid).
   double sample_interval = 0.5;
   double ewma_alpha = 0.35;  ///< window-ratio smoothing for the detectors
-  /// Straggler detector: on the EWMA of each node's per-window delivered
-  /// rate over the stream's emission rate, *normalized by the cohort
-  /// median* — chunk dynamics deliver a few percent under the fluid plan
-  /// for everyone, so an absolute reference would leave half the
-  /// population hovering at the threshold. A straggler is a node doing
-  /// materially worse than its cohort.
-  DetectorConfig straggler{0.8, 0.92, 3};
-  DetectorConfig egress{0.85, 0.95, 2};  ///< on per-node goodput ratio
-  DetectorConfig edge{0.8, 0.95, 3};     ///< on per-edge goodput ratio
   /// Min seconds between actions on the same node/edge (anti-flap). Note
   /// demotions and reroutes fire on detector *transitions* (one action per
   /// trip), so the cooldown only bounds escalations of an ongoing episode.
@@ -56,54 +59,14 @@ struct ControllerConfig {
   /// longer than action_cooldown so a demote/restore cycle costs at least
   /// one restore_cooldown, the no-flap bound. Every restore probe that
   /// fails (the node is demoted again before its next probe would fire)
-  /// doubles the node's probe interval up to restore_backoff_max x this,
-  /// so a *persistent* degradation converges to a quiet overlay instead of
-  /// being re-probed — and re-spliced — forever.
+  /// doubles the node's probe interval up to a fixed multiple of this
+  /// (kRestoreBackoffMax), so a *persistent* degradation converges to a
+  /// quiet overlay instead of being re-probed — and re-spliced — forever.
   double restore_cooldown = 1.5;
-  double restore_backoff_max = 8.0;
   /// Restore probes only fire on every restore_grid-th tick, so staggered
   /// per-node probes coalesce into one overlay patch instead of re-splicing
   /// the stream's pipes at every sampling boundary.
   int restore_grid = 4;
-  /// Capacity classes: demotions quantize the telemetry estimate to
-  /// multiples of 1/capacity_classes (never below demote_floor).
-  int capacity_classes = 8;
-  double demote_floor = 0.125;
-  /// Fingerprint-distance bound: a directive whose L1 capacity change
-  /// exceeds this fraction of the granted total escalates from incremental
-  /// patching to a full re-plan through the planner cache — correlated
-  /// degradations (a regional brownout) re-plan once, properly, while
-  /// isolated demotions stay cheap local patches. Full re-plans resplice
-  /// the whole running overlay, so the bound must not be so low that
-  /// routine probe traffic triggers them.
-  double replan_drift = 0.05;
-  /// Judging gates. The *service* ratio (observed wire rate vs planned) is
-  /// meaningful from a single transmission — each send's duration is
-  /// individually informative — so it is judged from min_service_sends in
-  /// windows with at least min_edge_utilization busy fraction (a slow pipe
-  /// completing one send per window must still be judged: those are
-  /// exactly the browned ones). The *loss* ratio needs a real sample: its
-  /// EWMA only updates in windows with at least min_edge_sends
-  /// transmissions and carries over otherwise.
-  double min_edge_utilization = 0.2;
-  int min_service_sends = 1;
-  int min_edge_sends = 8;
-  /// Nodes are only judged in windows expected to carry at least this many
-  /// chunks — below that the per-window ratio is granularity noise.
-  double min_expected_chunks = 4.0;
-  /// Nodes are only judged once their join is at least this many seconds
-  /// old (pipeline fill + rarest-first warm-up grace).
-  double warmup_grace = 1.0;
-  /// Stale-telemetry guard TTL. A window whose edge counters (sent AND
-  /// attempts) stand still is *frozen* — a telemetry blackout, not a
-  /// measurement of zero — so the controller skips judging and carries its
-  /// estimates instead of manufacturing a false brownout (a frozen window
-  /// would otherwise read as sustained ratio 0 and demote the node). After
-  /// stale_ttl consecutive frozen windows the carried estimates expire:
-  /// the smoothed signals are discarded and re-seed from the first fresh
-  /// window, so pre-blackout history cannot mask a degradation that
-  /// happened in the dark.
-  int stale_ttl = 6;
 };
 
 /// Causal audit record: *why* the controller acted. One entry per
@@ -230,7 +193,7 @@ class Controller {
     double prev_delivered = 0.0;
     /// Consecutive windows in which every adjacent edge was frozen and no
     /// delivery moved — the stale-telemetry guard's counter. While > 0 the
-    /// node is not judged; past stale_ttl its estimates expire.
+    /// node is not judged; past kStaleTtl its estimates expire.
     int stale_windows = 0;
   };
   struct EdgeState {

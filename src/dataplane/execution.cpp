@@ -12,12 +12,13 @@
 namespace bmp::dataplane {
 
 namespace {
+/// Traced chunks: those whose id is a multiple of this stride log their
+/// emission, losses and every delivery.
+constexpr int kTraceSample = 64;
 /// Chunk-lifecycle sampling gate: id stride keeps sampled chunks traceable
 /// end to end (every hop of chunk k appears, or none of them).
-bool traced_chunk(const obs::Hooks& hooks, const ExecutionConfig& config,
-                  int chunk) {
-  return hooks.trace != nullptr && config.trace_sample > 0 &&
-         chunk % config.trace_sample == 0;
+bool traced_chunk(const obs::Hooks& hooks, int chunk) {
+  return hooks.trace != nullptr && chunk % kTraceSample == 0;
 }
 /// Below this a pipe rate is treated as edge removal (mirrors the scheme's
 /// kZeroTol: planned overlays never carry meaningful rates this small).
@@ -32,6 +33,32 @@ constexpr double kRerateRestartFactor = 2.0;
 /// falling back to the linear window scan (which is the semantics of
 /// record — both paths pick the identical chunk).
 constexpr int kIndexProbeBudget = 96;
+/// Rarest-first scan horizon past a receiver's first missing chunk; caps
+/// scheduler cost when a slow node accumulates a deep backlog.
+constexpr int kScanLimit = 4096;
+/// Hostage rescue: a *reserved* chunk competes with unreserved ones
+/// (rarest-first order) for senders that can land a copy within this
+/// fraction of the current copy's remaining transfer time. Without it, a
+/// near-zero-rate pipe (re-planned overlays carry such residue edges)
+/// that grabs a rare chunk pins the receiver's in-order frontier for the
+/// whole glacial transmission — buffers balloon and the delivered-rate
+/// integral stalls even though every other pipe is healthy. 1/8 means
+/// the rescuer must be at least 8x faster, so near-peer pipes never
+/// duplicate each other.
+constexpr double kRescueFactor = 0.125;
+/// Rescue at kRescueFactor arms only while the receiver's out-of-order
+/// backlog exceeds this many effective windows — the signature of a
+/// pinned frontier. A healthy stream idles at a benign backlog of a few
+/// windows (each slow-but-productive in-pipe holds up to one in-flight
+/// chunk), so the threshold sits well above that: arming rescue at the
+/// benign level would just duplicate productive transmissions.
+constexpr double kRescueBufferWindows = 8.0;
+/// Hard rescue, always armed: reservations held by *extremely* slow
+/// copies (the rescuer at least 32x faster) are contested regardless of
+/// backlog. Planned overlays rarely spread same-receiver pipe rates that
+/// far, but re-planned ones carry residue trickle edges that do — and a
+/// trickle reservation is a multi-second hostage.
+constexpr double kRescueFactorHard = 0.03125;
 }  // namespace
 
 Execution::Execution(ExecutionConfig config, obs::Hooks hooks)
@@ -52,18 +79,12 @@ Execution::Execution(ExecutionConfig config, obs::Hooks hooks)
     // 1.0 would retransmit forever; 0.95 is already absurd for a WAN.
     throw std::invalid_argument("Execution: loss_rate in [0, 0.95]");
   }
-  if (config_.warmup_chunks < 0 || config_.scan_limit < 1) {
-    throw std::invalid_argument("Execution: bad warmup/scan limit");
+  if (config_.warmup_chunks < 0) {
+    throw std::invalid_argument("Execution: warmup_chunks must be >= 0");
   }
   if (config_.overtake_factor < 0.0 || config_.overtake_factor >= 1.0 ||
       !std::isfinite(config_.overtake_factor)) {
     throw std::invalid_argument("Execution: overtake_factor in [0, 1)");
-  }
-  if (config_.rescue_factor < 0.0 || config_.rescue_factor >= 1.0 ||
-      !std::isfinite(config_.rescue_factor) ||
-      config_.rescue_factor_hard < 0.0 || config_.rescue_factor_hard >= 1.0 ||
-      !std::isfinite(config_.rescue_factor_hard)) {
-    throw std::invalid_argument("Execution: rescue factors in [0, 1)");
   }
   now_ = config_.start_time;
   last_emit_time_ = config_.start_time;
@@ -698,7 +719,7 @@ void Execution::emit_chunks() {
     if (hooks_.lineage != nullptr) {
       hooks_.lineage->record_emit(config_.trace_id, origin_, chunk, now_);
     }
-    if (traced_chunk(hooks_, config_, chunk)) {
+    if (traced_chunk(hooks_, chunk)) {
       hooks_.trace->instant_at(obs::Lane::kExecution, "dataplane", "emit",
                                now_,
                                {{"channel", config_.trace_id},
@@ -772,7 +793,7 @@ void Execution::on_arrival(const ChunkEvent& event) {
       ++retry->second.count;
       retry->second.wasted += now_ - pending.start;
     }
-    if (traced_chunk(hooks_, config_, event.chunk)) {
+    if (traced_chunk(hooks_, event.chunk)) {
       hooks_.trace->instant_at(obs::Lane::kExecution, "dataplane",
                                checksum_failed ? "corrupt" : "loss", now_,
                                {{"channel", config_.trace_id},
@@ -827,7 +848,7 @@ void Execution::deliver(Node& node, int node_id, int chunk) {
   const int replicas = ++replicas_[static_cast<std::size_t>(chunk)];
   rarity_move(chunk, replicas - 1, replicas);
   ++delivered_chunks_;
-  if (traced_chunk(hooks_, config_, chunk)) {
+  if (traced_chunk(hooks_, chunk)) {
     hooks_.trace->instant_at(obs::Lane::kExecution, "dataplane", "deliver",
                              now_,
                              {{"channel", config_.trace_id},
@@ -872,8 +893,7 @@ void Execution::pick_linear(const Node& sender, const Node& receiver,
     const auto reserved = receiver.inflight.find(chunk);
     const int rep = replicas_[static_cast<std::size_t>(chunk)];
     if (reserved == receiver.inflight.end() ||
-        (rescue > 0.0 &&
-         my_eta - now_ < rescue * (reserved->second.eta - now_))) {
+        my_eta - now_ < rescue * (reserved->second.eta - now_)) {
       // Unreserved, or reserved on a pipe so slow this sender can rescue
       // it: both compete in rarest-first order.
       if (rep < best_replicas) {
@@ -892,7 +912,7 @@ void Execution::pick_linear(const Node& sender, const Node& receiver,
 // Indexed form: probes chunks in ascending (replica count, id) order via
 // the per-rarity buckets, so the first eligible unreserved chunk *is* the
 // linear scan's pick and a deep backlog costs a handful of probes instead
-// of a scan_limit-wide sweep. Returns false when the probe budget runs out
+// of a kScanLimit-wide sweep. Returns false when the probe budget runs out
 // (pathological eligibility patterns) — the caller falls back to the
 // linear scan, keeping the picked chunk identical either way.
 bool Execution::pick_indexed(const Node& sender, const Node& receiver,
@@ -911,8 +931,7 @@ bool Execution::pick_indexed(const Node& sender, const Node& receiver,
       if (!node_has(sender, chunk)) continue;
       const auto reserved = receiver.inflight.find(chunk);
       if (reserved == receiver.inflight.end() ||
-          (rescue > 0.0 &&
-           my_eta - now_ < rescue * (reserved->second.eta - now_))) {
+          my_eta - now_ < rescue * (reserved->second.eta - now_)) {
         best = chunk;  // min (replicas, id) over all eligible: done
         return true;
       }
@@ -957,16 +976,14 @@ void Execution::try_send(int pipe_slot) {
   const double my_eta =
       now_ + config_.chunk_size / send_rate + profile.latency;
   const int start = receiver.next_missing;
-  const int end = std::min(emitted_, start + config_.scan_limit);
+  const int end = std::min(emitted_, start + kScanLimit);
   // Rescue arms only under a pinned in-order frontier (bloated backlog):
   // a healthy stream never pays rescue duplicates.
   const int buffered =
       receiver.delivered - (receiver.next_missing - receiver.skip_before);
-  const double rescue =
-      config_.rescue_factor > 0.0 &&
-              buffered >= config_.rescue_buffer_windows * window
-          ? config_.rescue_factor
-          : config_.rescue_factor_hard;
+  const double rescue = buffered >= kRescueBufferWindows * window
+                            ? kRescueFactor
+                            : kRescueFactorHard;
   int best = -1;
   int overtake = -1;
   const bool indexed =

@@ -74,29 +74,6 @@ struct ExecutionConfig {
   /// the whole receiver hostage; with it, duplicates stay rare and bounded.
   /// 0 disables overtaking (strictly exclusive reservations).
   double overtake_factor = 0.5;
-  /// Hostage rescue: a *reserved* chunk competes with unreserved ones
-  /// (rarest-first order) for senders that can land a copy within this
-  /// fraction of the current copy's remaining transfer time. Without it, a
-  /// near-zero-rate pipe (re-planned overlays carry such residue edges)
-  /// that grabs a rare chunk pins the receiver's in-order frontier for the
-  /// whole glacial transmission — buffers balloon and the delivered-rate
-  /// integral stalls even though every other pipe is healthy. 1/8 means
-  /// the rescuer must be at least 8x faster, so near-peer pipes never
-  /// duplicate each other. 0 disables rescue (endgame overtaking only).
-  double rescue_factor = 0.125;
-  /// Rescue at `rescue_factor` arms only while the receiver's out-of-order
-  /// backlog exceeds this many effective windows — the signature of a
-  /// pinned frontier. A healthy stream idles at a benign backlog of a few
-  /// windows (each slow-but-productive in-pipe holds up to one in-flight
-  /// chunk), so the threshold sits well above that: arming rescue at the
-  /// benign level would just duplicate productive transmissions.
-  double rescue_buffer_windows = 8.0;
-  /// Hard rescue, always armed: reservations held by *extremely* slow
-  /// copies (the rescuer at least 32x faster) are contested regardless of
-  /// backlog. Planned overlays rarely spread same-receiver pipe rates that
-  /// far, but re-planned ones carry residue trickle edges that do — and a
-  /// trickle reservation is a multi-second hostage. 0 disables.
-  double rescue_factor_hard = 0.03125;
   /// Default link behaviour — seeds every node's egress LinkProfile. Edges
   /// resolve their profile per transmission: explicit set_edge_profile
   /// override first, then the sender's egress profile (set_egress_profile,
@@ -107,9 +84,6 @@ struct ExecutionConfig {
   /// Deliveries per node excluded from the steady-rate window (startup
   /// transient: pipeline fill, rarest-first warm-up).
   int warmup_chunks = 16;
-  /// Rarest-first scan horizon past a receiver's first missing chunk; caps
-  /// scheduler cost when a slow node accumulates a deep backlog.
-  int scan_limit = 4096;
   /// Per-rarity bucket index over the emitted window: the scheduler probes
   /// chunks in ascending (replica count, id) order and usually finds the
   /// pick within a handful of probes instead of scanning the whole backlog
@@ -127,9 +101,6 @@ struct ExecutionConfig {
   /// and *forwarded corrupted* (counted in corrupted_accepted()) — the
   /// frozen-comparison failure mode the chaos tests contrast against.
   bool verify_payloads = false;
-  /// Traced chunks: those whose id is a multiple of this stride log their
-  /// emission, losses and every delivery (<= 0 disables).
-  int trace_sample = 64;
   int trace_id = -1;  ///< channel label in trace/recorder/lineage output
 };
 
@@ -193,8 +164,9 @@ struct EdgeStats {
 class Execution {
  public:
   /// The sinks this stream instruments:
-  ///   hooks.trace     sampled chunk lifecycle (ExecutionConfig::
-  ///                   trace_sample) as instants on the execution lane —
+  ///   hooks.trace     sampled chunk lifecycle (chunk ids that are
+  ///                   multiples of execution.cpp's kTraceSample) as
+  ///                   instants on the execution lane —
   ///                   enough to follow a chunk through the overlay
   ///                   without one event per delivery;
   ///   hooks.recorder  every validate() violation, plus the recorder's

@@ -36,12 +36,15 @@ struct CacheStats {
   }
 };
 
+inline constexpr std::size_t kPlanCacheShards = 16;  ///< planner's LRU shards
+
 class PlanCache {
  public:
   /// `capacity` entries total, spread over `shards` independent LRUs (each
   /// gets ceil(capacity/shards)). capacity == 0 disables caching (every
   /// lookup misses, inserts are dropped).
-  explicit PlanCache(std::size_t capacity, std::size_t shards = 16);
+  explicit PlanCache(std::size_t capacity,
+                     std::size_t shards = kPlanCacheShards);
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;

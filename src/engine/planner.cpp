@@ -168,8 +168,7 @@ PlanResponse Planner::plan_verified(const Instance& instance,
 Planner::Planner(PlannerConfig config, obs::Hooks hooks)
     : config_(config),
       hooks_(hooks),
-      cache_(std::make_unique<PlanCache>(config.cache_capacity,
-                                         config.cache_shards)),
+      cache_(std::make_unique<PlanCache>(config.cache_capacity)),
       pool_(std::make_unique<util::ThreadPool>(config.threads)) {}
 
 Planner::~Planner() = default;

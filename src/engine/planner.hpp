@@ -89,7 +89,6 @@ struct PlannerOutage {
 struct PlannerConfig {
   std::size_t threads = 0;  ///< worker threads for plan_batch; 0 = hardware
   std::size_t cache_capacity = 4096;  ///< plans retained across requests
-  std::size_t cache_shards = 16;
   double fingerprint_bucket = 1e-6;  ///< bandwidth quantum for dedup
   /// Verify every computed plan against the §II.D max-flow definition
   /// before caching it. Near-free since the tiered verifier sweeps the

@@ -216,7 +216,7 @@ Session::Session(Planner& planner, Instance instance, SessionConfig config,
     throw std::invalid_argument("Session: replan_threshold in [0,1]");
   }
   const PlanResponse response = planner_.plan(
-      instance_, config_.algorithm, config_.max_out_degree, instance_fp_.value());
+      instance_, kSessionAlgorithm, kSessionMaxOutDegree, instance_fp_.value());
   scheme_ = response.scheme;
   design_rate_ = response.throughput;
   design_total_ = instance_.total_sum();
@@ -415,7 +415,7 @@ ChurnOutcome Session::adapt(const AdaptationRequest& request) {
   if (!patched) {
     try {
       const PlanResponse response =
-          planner_.plan(effective, config_.algorithm, config_.max_out_degree,
+          planner_.plan(effective, kSessionAlgorithm, kSessionMaxOutDegree,
                         instance_fp_.value());
       replan_verified = !response.cache_hit && response.verified_throughput >= 0.0;
       replan_tier = response.verified_tier;
@@ -519,7 +519,7 @@ ChurnOutcome Session::on_departure(const std::vector<int>& departed) {
   } else {
     try {
       const PlanResponse response =
-          planner_.plan(survivors, config_.algorithm, config_.max_out_degree,
+          planner_.plan(survivors, kSessionAlgorithm, kSessionMaxOutDegree,
                         instance_fp_.value());
       // Cache hits reuse a plan whose verification already happened (and was
       // already counted) when it was first computed.

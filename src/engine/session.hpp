@@ -47,14 +47,15 @@ struct RepairResult {
                                          double target_rate,
                                          flow::Verifier* verifier);
 
+/// Planning knobs used for a session's initial plan and every full
+/// re-plan. kAcyclic: its DAG structure is what repair patches best.
+inline constexpr Algorithm kSessionAlgorithm = Algorithm::kAcyclic;
+inline constexpr int kSessionMaxOutDegree = 0;  ///< 0 = no degree cap
+
 struct SessionConfig {
   /// Keep the incremental repair iff its verified throughput reaches this
   /// fraction of the design rate; otherwise fall back to a full re-plan.
   double replan_threshold = 0.9;
-  /// Planning knobs used for the initial plan and every full re-plan.
-  /// kAcyclic by default: its DAG structure is what repair patches best.
-  Algorithm algorithm = Algorithm::kAcyclic;
-  int max_out_degree = 0;
   /// Options for the session-owned verification engine (timing
   /// collection, tier forcing).
   flow::VerifyOptions verify{};

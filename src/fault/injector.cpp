@@ -9,6 +9,12 @@ namespace bmp::fault {
 
 namespace {
 
+/// Fixed bounds of random_plan(): at most this many faults of each kind.
+constexpr int kMaxPartitions = 1;
+constexpr int kMaxCorruptions = 2;
+constexpr int kMaxBlackouts = 2;
+constexpr int kMaxPlannerOutages = 1;
+
 runtime::Event fault_event(double time, runtime::FaultAction action) {
   runtime::Event event;
   event.type = runtime::EventType::kFault;
@@ -131,8 +137,7 @@ FaultPlan Injector::random_plan(std::uint64_t seed,
   for (int k = 0; k < crashes; ++k) {
     plan.crashes.push_back({pick_time(), pick_node()});
   }
-  const int partitions =
-      static_cast<int>(rng.below(options.max_partitions + 1));
+  const int partitions = static_cast<int>(rng.below(kMaxPartitions + 1));
   for (int k = 0; k < partitions; ++k) {
     PartitionSpec spec;
     spec.time = pick_time();
@@ -142,18 +147,16 @@ FaultPlan Injector::random_plan(std::uint64_t seed,
     }
     if (!spec.group_b.empty()) plan.partitions.push_back(std::move(spec));
   }
-  const int corruptions =
-      static_cast<int>(rng.below(options.max_corruptions + 1));
+  const int corruptions = static_cast<int>(rng.below(kMaxCorruptions + 1));
   for (int k = 0; k < corruptions; ++k) {
     CorruptionSpec spec;
     spec.time = pick_time();
     spec.end_time = spec.time + rng.uniform(0.05, 0.3) * options.horizon;
     spec.node = pick_node();
-    spec.rate = rng.uniform(0.05, options.max_corruption_rate);
+    spec.rate = rng.uniform(0.05, kMaxCorruptionRate);
     plan.corruptions.push_back(spec);
   }
-  const int blackouts =
-      static_cast<int>(rng.below(options.max_blackouts + 1));
+  const int blackouts = static_cast<int>(rng.below(kMaxBlackouts + 1));
   for (int k = 0; k < blackouts; ++k) {
     BlackoutSpec spec;
     spec.time = pick_time();
@@ -163,8 +166,7 @@ FaultPlan Injector::random_plan(std::uint64_t seed,
     }
     if (!spec.nodes.empty()) plan.blackouts.push_back(std::move(spec));
   }
-  const int outages =
-      static_cast<int>(rng.below(options.max_planner_outages + 1));
+  const int outages = static_cast<int>(rng.below(kMaxPlannerOutages + 1));
   for (int k = 0; k < outages; ++k) {
     PlannerOutageSpec spec;
     spec.time = pick_time();

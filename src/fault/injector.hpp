@@ -19,6 +19,9 @@
 
 namespace bmp::fault {
 
+/// random_plan() draws corruption rates from [0.05, kMaxCorruptionRate].
+inline constexpr double kMaxCorruptionRate = 0.5;
+
 /// Bounds for random_plan(). Node ids are drawn from [1, num_nodes] (the
 /// runtime's initial population; 0 — the global source — is never picked,
 /// source failover is exercised at the Execution layer instead).
@@ -26,11 +29,6 @@ struct RandomPlanOptions {
   int num_nodes = 0;        ///< initial population size (required, > 0)
   double horizon = 10.0;    ///< faults land in [0.2, 0.9] * horizon
   int max_crashes = 3;
-  int max_partitions = 1;
-  int max_corruptions = 2;
-  int max_blackouts = 2;
-  int max_planner_outages = 1;
-  double max_corruption_rate = 0.5;
 };
 
 class Injector {

@@ -6,10 +6,20 @@
 namespace bmp::net {
 
 namespace {
-[[noreturn]] void fail(int line, const std::string& what) {
-  throw std::invalid_argument("platform parse error, line " +
+
+[[noreturn]] void fail(int line, const std::string& what,
+                       const char* format = "platform") {
+  throw std::invalid_argument(std::string(format) + " parse error, line " +
                               std::to_string(line) + ": " + what);
 }
+
+/// Reads the whole token as one number: "5x", "1open0" or "" is not one.
+template <typename T>
+bool read_number(const std::string& token, T& value) {
+  std::istringstream in(token);
+  return (in >> value) && in.peek() == std::char_traits<char>::eof();
+}
+
 }  // namespace
 
 PlatformFile parse_platform(std::istream& in) {
@@ -23,16 +33,16 @@ PlatformFile parse_platform(std::istream& in) {
   int line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::string kind;
+    std::istringstream ls(line.substr(0, line.find('#')));
+    std::string kind, bw_token, label, extra;  // label is optional
     if (!(ls >> kind)) continue;  // blank / comment line
+    ls >> bw_token >> label >> extra;
     double bw = 0.0;
-    if (!(ls >> bw)) fail(line_no, "expected a bandwidth after '" + kind + "'");
+    if (!read_number(bw_token, bw)) {
+      fail(line_no, "expected a bandwidth after '" + kind + "'");
+    }
     if (bw < 0.0) fail(line_no, "negative bandwidth");
-    std::string label;
-    ls >> label;  // optional
+    if (!extra.empty()) fail(line_no, "trailing tokens");
     if (kind == "source") {
       if (source_bw >= 0.0) fail(line_no, "duplicate source line");
       source_bw = bw;
@@ -92,18 +102,22 @@ BroadcastScheme parse_scheme(std::istream& in, int num_nodes) {
   int line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
+    std::istringstream ls(line.substr(0, line.find('#')));
+    std::string from_token, to_token, rate_token, extra;
+    if (!(ls >> from_token)) continue;  // blank / comment line
+    ls >> to_token >> rate_token >> extra;
     int from = 0;
     int to = 0;
     double rate = 0.0;
-    if (!(ls >> from)) continue;
-    if (!(ls >> to >> rate)) {
-      throw std::invalid_argument("scheme parse error, line " +
-                                  std::to_string(line_no));
+    if (!extra.empty() || !read_number(from_token, from) ||
+        !read_number(to_token, to) || !read_number(rate_token, rate)) {
+      fail(line_no, "expected '<from> <to> <rate>'", "scheme");
     }
-    scheme.add(from, to, rate);
+    try {
+      scheme.add(from, to, rate);
+    } catch (const std::logic_error& e) {  // bad id, self loop, negative rate
+      fail(line_no, e.what(), "scheme");
+    }
   }
   return scheme;
 }

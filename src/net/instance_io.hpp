@@ -26,13 +26,16 @@ struct PlatformFile {
 };
 
 /// Parses the platform format above; throws std::invalid_argument with a
-/// line number on malformed input.
+/// line number on malformed input (a number with a suffix glued on, or a
+/// token past the optional name, included).
 PlatformFile parse_platform(std::istream& in);
 PlatformFile parse_platform_string(const std::string& text);
 
 std::string serialize_platform(const Instance& instance);
 
-/// Scheme round trip.
+/// Scheme round trip. parse_scheme throws std::invalid_argument with a
+/// line number on a malformed line (exactly three numbers), an id outside
+/// [0, num_nodes), a self loop or a rate driven negative.
 std::string serialize_scheme(const BroadcastScheme& scheme);
 BroadcastScheme parse_scheme(std::istream& in, int num_nodes);
 BroadcastScheme parse_scheme_string(const std::string& text, int num_nodes);

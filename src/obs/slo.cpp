@@ -11,6 +11,15 @@ namespace bmp::obs {
 
 namespace {
 
+constexpr double kTargetSustained = 0.7;   ///< worst-node sustained floor
+constexpr double kTargetLatencyP99 = 5.0;  ///< chunk-latency p99 ceiling, s
+constexpr double kRecoverTimeout = 3.0;    ///< directive -> recovery limit, s
+constexpr std::size_t kShortWindow = 4;    ///< ticks in the fast burn window
+constexpr std::size_t kLongWindow = 12;    ///< ticks in the slow burn window
+constexpr double kWarnBurn = 0.5;          ///< short-window violation fraction
+constexpr double kPageBurn = 0.75;         ///< short+long violation fraction
+constexpr std::size_t kMaxAlerts = 256;    ///< alert ring bound
+
 std::string render_double(double value) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.12g", value);
@@ -90,24 +99,24 @@ SloState SloMonitor::evaluate(double time, double sustained_worst) {
   sample.time = time;
   sample.sustained_worst = sustained_worst;
   sample.latency_p99 = latency_p99();
-  sample.violating_sustained = sustained_worst < config_.target_sustained;
-  sample.violating_latency = sample.latency_p99 > config_.target_latency_p99;
+  sample.violating_sustained = sustained_worst < kTargetSustained;
+  sample.violating_latency = sample.latency_p99 > kTargetLatencyP99;
   if (directive_time_ >= 0.0) {
-    if (sustained_worst >= config_.target_sustained) {
+    if (sustained_worst >= kTargetSustained) {
       directive_time_ = -1.0;  // recovered
     } else {
       sample.recover_wait = time - directive_time_;
-      sample.violating_recover = sample.recover_wait > config_.recover_timeout;
+      sample.violating_recover = sample.recover_wait > kRecoverTimeout;
     }
   }
 
   const bool violating = sample.violating();
   short_window_.push_back(violating);
   long_window_.push_back(violating);
-  while (static_cast<int>(short_window_.size()) > config_.short_window) {
+  while (short_window_.size() > kShortWindow) {
     short_window_.pop_front();
   }
-  while (static_cast<int>(long_window_.size()) > config_.long_window) {
+  while (long_window_.size() > kLongWindow) {
     long_window_.pop_front();
   }
   const double short_burn = burn(short_window_);
@@ -116,9 +125,9 @@ SloState SloMonitor::evaluate(double time, double sustained_worst) {
   // Multi-window burn-rate: page needs the fast window fully burning AND
   // the slow window past the warn floor — a sustained problem, not a blip.
   SloState next = SloState::kOk;
-  if (short_burn >= config_.page_burn && long_burn >= config_.warn_burn) {
+  if (short_burn >= kPageBurn && long_burn >= kWarnBurn) {
     next = SloState::kPage;
-  } else if (short_burn >= config_.warn_burn) {
+  } else if (short_burn >= kWarnBurn) {
     next = SloState::kWarn;
   }
   if (next != state_) transition(next, sample, short_burn, long_burn);
@@ -149,7 +158,7 @@ void SloMonitor::transition(SloState to, const SloSample& sample,
                           " burn=" + render_double(short_burn) + "/" +
                           render_double(long_burn));
   }
-  if (alerts_.size() >= config_.max_alerts) {
+  if (alerts_.size() >= kMaxAlerts) {
     ++dropped_;
     return;
   }

@@ -9,14 +9,16 @@
 //     live at every control tick);
 //   * chunk-latency p99 over a sliding window of recent deliveries;
 //   * time-to-recover: once a control directive fires, the sustained SLI
-//     must climb back over its target within `recover_timeout` seconds.
+//     must climb back over its target within kRecoverTimeout seconds.
 //
 // Alerting is multi-window burn-rate in the SRE sense: each tick scores
 // "violating" when any SLI misses its target; the monitor keeps a short
 // and a long window of tick outcomes and transitions
-//   ok   -> warn  when the short window burns past `warn_burn`,
-//   warn -> page  when short AND long windows burn past `page_burn`,
+//   ok   -> warn  when the short window burns past kWarnBurn,
+//   warn -> page  when the short window burns past kPageBurn AND the long
+//                 one past kWarnBurn,
 //   back down as the burn rates clear.
+// The targets, windows and burn thresholds are slo.cpp constants.
 // Every transition appends an SloAlert (bounded ring, drop counter)
 // carrying the violating window sample, and is mirrored into the flight
 // recorder (kind "slo"), so a page links straight to the black box.
@@ -32,15 +34,7 @@ namespace bmp::obs {
 class FlightRecorder;
 
 struct SloConfig {
-  double target_sustained = 0.7;   ///< worst-node sustained ratio floor
-  double target_latency_p99 = 5.0; ///< chunk-latency p99 ceiling, seconds
-  double recover_timeout = 3.0;    ///< directive -> sustained-ok deadline, s
-  int short_window = 4;            ///< ticks in the fast burn window
-  int long_window = 12;            ///< ticks in the slow burn window
-  double warn_burn = 0.5;          ///< short-window violation fraction
-  double page_burn = 0.75;         ///< short+long violation fraction
   std::size_t latency_window = 512;  ///< recent deliveries for the p99 SLI
-  std::size_t max_alerts = 256;    ///< alert ring bound
 };
 
 /// Throws std::invalid_argument when config.latency_window is 0; the

@@ -21,6 +21,11 @@ constexpr const char* kChannelSeries[] = {
     "achieved_rate",          "control.stragglers", "control.degraded_edges",
     "control.overrides",      "slo.state"};
 
+/// Control ticks spanned by the windowed sustained SLI: the worst node's
+/// delivered delta over the emission promise across the last N ticks —
+/// windowed (not cumulative), so a healed partition recovers to ok.
+constexpr int kSloSustainedWindow = 4;
+
 /// Telemetry blackout guard: a dark collector hands the controller the
 /// last sample it actually observed, frozen — the exact signature its
 /// stale-telemetry guard refuses to judge — never fresh data it could not
@@ -438,7 +443,6 @@ Channel::Tick Channel::tick(double t) {
   for (std::size_t slot = 0; slot < caps.size(); ++slot) {
     granted[static_cast<std::size_t>(node_of_slot_[slot])] = caps[slot];
   }
-  const double warmup_grace = config.control.controller.warmup_grace;
   for (const auto& [rid, dp] : dp_of_node_) {
     const Node& info = nodes[static_cast<std::size_t>(rid)];
     const dataplane::NodeProgress progress = exec.progress(dp);
@@ -446,7 +450,7 @@ Channel::Tick Channel::tick(double t) {
         rid, info.bandwidth * grant_.fraction,
         granted[static_cast<std::size_t>(rid)], exec.delivered(dp) * chunk,
         dp != 0 && progress.alive &&
-            progress.joined + warmup_grace <= t - inputs.window};
+            progress.joined + control::kWarmupGrace <= t - inputs.window};
     inputs.nodes.push_back(
         through_blackout(last_node_sample_, rid, info.blackout, sample));
   }
@@ -495,7 +499,7 @@ Channel::Tick Channel::tick(double t) {
       const auto [it, fresh] = silence_.try_emplace(rid, Silence{observed});
       if (fresh || it->second.activity != observed) {
         it->second = {observed, 0};
-      } else if (++it->second.windows >= config.fault.crash_silence_windows) {
+      } else if (++it->second.windows >= kCrashSilenceWindows) {
         result.silent.push_back(rid);
       }
     }
@@ -539,15 +543,13 @@ void Channel::evaluate_slo(const control::TickInputs& inputs, double t) {
     observe_chunk_latency(latency);
   }
   // Windowed sustained SLI: the worst judgeable node's delivered delta
-  // against the emission promise over the last slo_sustained_window ticks.
+  // against the emission promise over the last kSloSustainedWindow ticks.
   // Windowed — not cumulative — so a node crippled by a healed partition
   // recovers to ok once its recent windows look healthy again, even though
   // it can never make up the backlog.
   double worst = 1.0;
   const double expected_total = slo_expected_total_ + inputs.expected_delta;
-  const int window_ticks =
-      std::max(1, host_.config.control.slo_sustained_window);
-  if (static_cast<int>(slo_history_.size()) >= window_ticks) {
+  if (static_cast<int>(slo_history_.size()) >= kSloSustainedWindow) {
     const SloSnapshot& base = slo_history_.front();
     const double promised = expected_total - base.expected;
     if (promised > 1e-12) {
@@ -573,7 +575,7 @@ void Channel::evaluate_slo(const control::TickInputs& inputs, double t) {
     snap.delivered.emplace_back(sample.id, sample.delivered);
   }
   slo_history_.push_back(std::move(snap));
-  while (static_cast<int>(slo_history_.size()) > window_ticks) {
+  while (static_cast<int>(slo_history_.size()) > kSloSustainedWindow) {
     slo_history_.pop_front();
   }
   const std::uint64_t pages_before = slo_->pages();
@@ -589,8 +591,8 @@ void Channel::evaluate_slo(const control::TickInputs& inputs, double t) {
 ControlReport Channel::adapt(const control::Directive& directive, double t) {
   const RuntimeConfig& config = host_.config;
   obs::ShardRegistry& m = host_.metrics;
-  // Arm the time-to-recover SLI: the sustained ratio now has
-  // recover_timeout seconds to climb back over its target.
+  // Arm the time-to-recover SLI: the sustained ratio now has the SLO
+  // monitor's kRecoverTimeout seconds to climb back over its target.
   if (slo_) slo_->on_directive(t);
   const double rate_before = session_->current_rate();
   engine::AdaptationRequest request;

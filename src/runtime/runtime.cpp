@@ -13,6 +13,12 @@ namespace bmp::runtime {
 
 namespace {
 
+/// Backoff of channel opens deferred by a planner outage: the first retry
+/// waits kPlannerRetryInitial seconds, each refused retry doubles the wait
+/// up to kPlannerRetryMax.
+constexpr double kPlannerRetryInitial = 0.5;
+constexpr double kPlannerRetryMax = 4.0;
+
 /// Validates a peer spec (`who` names the event in the error) and turns it
 /// into a live population entry.
 Node admit_peer(const NodeSpec& spec, const char* who) {
@@ -186,10 +192,9 @@ void Runtime::step(const Event& event) {
       try {
         on_channel_open(event);
       } catch (const engine::PlannerUnavailable&) {
-        if (!config_.fault.planner_fallback) throw;
         // The broker grant was already released by on_channel_open's
         // unwind; queue the open and retry once the planner may be back.
-        const double backoff = config_.fault.planner_retry_initial;
+        const double backoff = kPlannerRetryInitial;
         pending_opens_.push_back({event, now_ + backoff, backoff});
         metrics_.inc("fault.opens_deferred");
         if (config_.recorder != nullptr) {
@@ -347,9 +352,7 @@ void Runtime::on_node_join(const Event& event) {
   }
   nodes_.insert(nodes_.end(), joiners.begin(), joiners.end());
   alive_peers_ += static_cast<int>(joiners.size());
-  if (event.joins.empty() || config_.join_policy == JoinPolicy::kIgnore) {
-    return;
-  }
+  if (event.joins.empty()) return;
   // Recruit the new uploaders: re-plan every live channel on the grown
   // platform. The shared cache dedupes channels whose scaled platforms
   // collide; the session's design rate resets to the new optimum.
@@ -357,7 +360,6 @@ void Runtime::on_node_join(const Event& event) {
     try {
       channel.rebuild();
     } catch (const engine::PlannerUnavailable&) {
-      if (!config_.fault.planner_fallback) throw;
       // Planner down: the channel keeps its pre-join overlay (the joiner
       // is simply not recruited yet) and is rebuilt when the outage ends.
       channel.mark_stale(now_, "join replan refused (planner outage)");
@@ -629,8 +631,7 @@ void Runtime::retry_pending_opens(double t, bool force) {
       }
       it = pending_opens_.erase(it);
     } catch (const engine::PlannerUnavailable&) {
-      it->backoff = std::min(it->backoff * 2.0,
-                             config_.fault.planner_retry_max);
+      it->backoff = std::min(it->backoff * 2.0, kPlannerRetryMax);
       it->next_retry = t + it->backoff;
       ++it;
     }
@@ -697,7 +698,7 @@ void Runtime::detect_crashes(const std::set<int>& candidates, double t) {
     Node& info = nodes_[static_cast<std::size_t>(node)];
     if (info.alive()) {
       // The detector can evict a live-but-totally-silent peer too (say, a
-      // crashed relay's child); after crash_silence_windows of nothing the
+      // crashed relay's child); after kCrashSilenceWindows of nothing the
       // distinction no longer pays its way — real failure detectors are
       // exactly this ruthless. It is counted apart from real crashes.
       info.state = Node::State::kEvicted;
@@ -715,7 +716,7 @@ void Runtime::detect_crashes(const std::set<int>& candidates, double t) {
       config_.recorder->record(
           t, -1, "crash_detected",
           "node=" + std::to_string(node) + " silent for " +
-              std::to_string(config_.fault.crash_silence_windows) +
+              std::to_string(kCrashSilenceWindows) +
               " windows");
     }
   }

@@ -16,8 +16,8 @@
 //   kNodeLeave     every hosting channel absorbs the departure through
 //                  Session::on_departure (incremental repair, full re-plan
 //                  fallback)
-//   kNodeJoin      population grows; per JoinPolicy, live channels re-plan
-//                  (through the shared cache) to recruit the new uploaders
+//   kNodeJoin      population grows; every live channel re-plans (through
+//                  the shared cache) to recruit the new uploaders
 //   kRenegotiate   broker rebalances grants; affected sessions rescale
 //                  exactly (no re-plan)
 // Determinism contract: node ids are assigned sequentially in event order,
@@ -44,12 +44,6 @@
 #include "bmp/runtime/event.hpp"
 
 namespace bmp::runtime {
-
-/// What live channels do when peers join the population.
-enum class JoinPolicy {
-  kIgnore,  ///< joiners only serve channels opened later
-  kReplan,  ///< re-plan every live channel on the grown platform (cached)
-};
 
 /// Opt-in chunk-level execution: every channel drives a
 /// dataplane::Execution on the scenario's clock — the source streams
@@ -81,26 +75,27 @@ struct DataPlaneConfig {
   }();
 };
 
+/// Silent control windows before crash detection declares a peer dead.
+inline constexpr int kCrashSilenceWindows = 3;
+
 /// Tolerance policy for injected faults (kFault events, src/fault). All
 /// reactions are deterministic functions of the scenario clock and the
 /// dataplane's counters, so chaos runs replay bit-identically.
+///
+/// Planner outages are always absorbed: channels keep serving their last
+/// verified plan (bounded staleness — rebuilt when the outage ends), and
+/// channel opens that failed against a down planner are queued and retried
+/// with exponential backoff instead of being dropped.
 struct FaultToleranceConfig {
   /// Crash detection: a crashed node sends no leave event, so the runtime
   /// watches each stream's counters on the control grid — a peer whose
   /// delivered count and adjacent pipe activity (attempts + sent) all stand
-  /// still for `crash_silence_windows` consecutive windows is declared dead
+  /// still for kCrashSilenceWindows consecutive windows is declared dead
   /// and a churn repair is synthesized across *every* hosting channel at
-  /// once. Requires execution + control mode (the telemetry source); crashes
+  /// once.
+  /// Requires execution + control mode (the telemetry source); crashes
   /// degrade to immediate synthesized departures without it.
   bool detect_crashes = true;
-  int crash_silence_windows = 3;
-  /// Planner-outage fallback: channels keep serving their last verified
-  /// plan (bounded staleness — rebuilt when the outage ends), and channel
-  /// opens that failed against a down planner are queued and retried with
-  /// exponential backoff instead of being dropped.
-  bool planner_fallback = true;
-  double planner_retry_initial = 0.5;  ///< first retry delay (seconds)
-  double planner_retry_max = 4.0;      ///< backoff ceiling (seconds)
 };
 
 /// Opt-in adaptive control plane (requires execution mode): one
@@ -120,10 +115,6 @@ struct ControlConfig {
   /// runs and planner thread counts.
   bool slo_enabled = false;
   obs::SloConfig slo;
-  /// Control ticks spanned by the windowed sustained SLI: the worst node's
-  /// delivered delta over the emission promise across the last N ticks —
-  /// windowed (not cumulative), so a healed partition recovers to ok.
-  int slo_sustained_window = 4;
 };
 
 /// The obs::Hooks base holds the run's sinks: the runtime hands them to its
@@ -133,7 +124,6 @@ struct RuntimeConfig : obs::Hooks {
   engine::PlannerConfig planner;  ///< shared cache / thread pool knobs
   engine::SessionConfig session;  ///< repair-vs-replan policy per channel
   double broker_headroom = 0.0;   ///< budget fraction withheld from channels
-  JoinPolicy join_policy = JoinPolicy::kReplan;
   bool collect_timing = true;     ///< record timing.* event-loop latency
   DataPlaneConfig dataplane;      ///< chunk-level execution mode
   ControlConfig control;          ///< telemetry-driven adaptation

@@ -149,7 +149,7 @@ TEST(IncrementalFingerprint, SessionChurnKeysMatchTheRehashedPlatform) {
   const ChurnOutcome outcome = session.on_departure({1, 2, 3});
   ASSERT_TRUE(outcome.full_replan);
   const PlanResponse again =
-      planner.plan(session.instance(), config.algorithm, config.max_out_degree);
+      planner.plan(session.instance(), kSessionAlgorithm, kSessionMaxOutDegree);
   EXPECT_TRUE(again.cache_hit);
 }
 

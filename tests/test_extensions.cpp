@@ -215,6 +215,21 @@ TEST(InstanceIo, ParseErrorsCarryLineNumbers) {
                std::invalid_argument);
   EXPECT_THROW(net::parse_platform_string("source 5\nsource 6\n"),
                std::invalid_argument);
+  // A suffix glued onto the bandwidth, or tokens past the optional name.
+  const std::pair<const char*, const char*> cases[] = {
+      {"source 5\nopen 5x\n", "line 2"},
+      {"source 5\nopen 5 a b c\n", "line 2"},
+      {"source 5x\nopen 5\n", "line 1"}};
+  for (const auto& [text, line] : cases) {
+    try {
+      (void)net::parse_platform_string(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(net::parse_platform_string("source 5\nopen 5 x\n").labels[1], "x");
 }
 
 TEST(InstanceIo, PlatformRoundTrip) {
@@ -244,6 +259,23 @@ TEST(InstanceIo, SchemeRoundTrip) {
 TEST(InstanceIo, SchemeParseRejectsGarbage) {
   EXPECT_THROW(net::parse_scheme_string("0 oops 1.0\n", 3),
                std::invalid_argument);
+  // Every rejection is std::invalid_argument naming the offending line:
+  // glued suffixes, trailing tokens, and BroadcastScheme::add's own errors
+  // (id out of range, self loop, negative rate).
+  const std::pair<const char*, const char*> cases[] = {
+      {"0 1 1\n0 1 1open0\n", "line 2"}, {"0 1 10 2 5.5\n", "line 1"},
+      {"0 1 1\n0 3 1\n", "line 2"},      {"0 -1 1\n", "line 1"},
+      {"# c\n1 1 2\n", "line 2"},         {"0 1 -1\n", "line 1"},
+      {"0 1 2\n\n0 2 1x\n", "line 3"}};
+  for (const auto& [text, line] : cases) {
+    try {
+      (void)net::parse_scheme_string(text, 3);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------- exact claims at scale ----------

@@ -123,7 +123,7 @@ TEST(Injector, RandomPlanIsSeedDeterministicAndBounded) {
     }
     for (const fault::CorruptionSpec& spec : plan.corruptions) {
       EXPECT_GT(spec.rate, 0.0);
-      EXPECT_LE(spec.rate, options.max_corruption_rate);
+      EXPECT_LE(spec.rate, fault::kMaxCorruptionRate);
     }
   }
 }
@@ -294,7 +294,6 @@ control::ControllerConfig guard_config() {
   control::ControllerConfig config;
   config.sample_interval = 0.5;
   config.ewma_alpha = 1.0;
-  config.egress = {0.85, 0.95, 2};
   config.action_cooldown = 0.0;
   config.restore_cooldown = 100.0;  // no probes mid-test
   config.restore_grid = 1;
