@@ -1,5 +1,7 @@
 #include "bmp/engine/planner.hpp"
 
+#include <algorithm>
+#include <exception>
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
@@ -30,6 +32,14 @@ const char* to_string(Algorithm algorithm) {
 
 namespace {
 
+// An injected outage takes the planning *service* down, cache included:
+// a real outage takes the whole endpoint, not just cold misses.
+void refuse_if_down(PlannerOutage* outage) {
+  if (outage == nullptr || !outage->down) return;
+  ++outage->failures;
+  throw PlannerUnavailable();
+}
+
 PlanResponse make_response(BroadcastScheme scheme, double throughput,
                            Algorithm used, int bound) {
   PlanResponse response;
@@ -39,6 +49,12 @@ PlanResponse make_response(BroadcastScheme scheme, double throughput,
   response.algorithm = used;
   response.degree_bound_met = bound == 0 || response.max_degree <= bound;
   return response;
+}
+
+PlanResponse from_baseline(baselines::BaselineResult result, Algorithm used,
+                           int bound) {
+  return make_response(std::move(result.scheme), result.throughput, used,
+                       bound);
 }
 
 PlanResponse plan_acyclic(const Instance& instance, int bound) {
@@ -55,29 +71,55 @@ PlanResponse plan_cyclic(const Instance& instance, int bound) {
     return plan_acyclic(instance, bound);
   }
   const double t_star = cyclic_open_optimal(instance);
-  return make_response(build_cyclic_open(instance, t_star), t_star,
+  BroadcastScheme scheme = build_cyclic_open(instance, t_star);
+  // The construction's roundoff gathers in the last node it feeds, which
+  // at 200k peers can fall short of T* by more than 1e-9·T*. Claim the
+  // least inflow then: no throughput exceeds it.
+  std::vector<double> inflow(static_cast<std::size_t>(scheme.num_nodes()));
+  for (int i = 0; i < scheme.num_nodes(); ++i) {
+    for (const auto& [to, rate] : scheme.out_edges(i)) {
+      inflow[static_cast<std::size_t>(to)] += rate;
+    }
+  }
+  const double fed = *std::min_element(inflow.begin() + 1, inflow.end());
+  return make_response(std::move(scheme),
+                       t_star - fed > 1e-9 * t_star ? fed : t_star,
                        Algorithm::kCyclic, bound);
 }
 
 PlanResponse plan_auto(const Instance& instance, int bound) {
   std::vector<PlanResponse> candidates;
-  candidates.push_back(plan_acyclic(instance, bound));
+  // A candidate whose construction throws drops out (at scale the acyclic
+  // one can run its pools dry while Thm 5.2's is valid). The request fails
+  // only when every candidate does, with the first error.
+  std::exception_ptr first_error;
+  const auto offer = [&](auto build) {
+    try {
+      candidates.push_back(build());
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  };
+  offer([&] { return plan_acyclic(instance, bound); });
   if (instance.m() == 0 && instance.n() >= 1) {
-    candidates.push_back(plan_cyclic(instance, bound));
+    offer([&] { return plan_cyclic(instance, bound); });
   }
   if (bound > 0) {
     // Low-degree fallbacks for tight bounds the optimal schemes overshoot.
     // Tree throughput is not monotone in arity (a wide tree can run out of
     // open interior capacity), so scan every arity the bound allows.
     for (int arity = 1; arity <= bound; ++arity) {
-      baselines::BaselineResult tree = baselines::kary_tree(instance, arity);
-      candidates.push_back(make_response(std::move(tree.scheme), tree.throughput,
-                                         Algorithm::kBaselineTree, bound));
+      offer([&] {
+        return from_baseline(baselines::kary_tree(instance, arity),
+                             Algorithm::kBaselineTree, bound);
+      });
     }
-    baselines::BaselineResult chain = baselines::chain(instance);
-    candidates.push_back(make_response(std::move(chain.scheme), chain.throughput,
-                                       Algorithm::kBaselineChain, bound));
+    offer([&] {
+      return from_baseline(baselines::chain(instance),
+                           Algorithm::kBaselineChain, bound);
+    });
   }
+  if (candidates.empty()) std::rethrow_exception(first_error);
 
   PlanResponse* best = nullptr;
   for (PlanResponse& candidate : candidates) {
@@ -111,16 +153,12 @@ PlanResponse Planner::plan_uncached(const Instance& instance,
       return plan_acyclic(instance, max_out_degree);
     case Algorithm::kCyclic:
       return plan_cyclic(instance, max_out_degree);
-    case Algorithm::kBaselineTree: {
-      baselines::BaselineResult tree = baselines::best_kary_tree(instance);
-      return make_response(std::move(tree.scheme), tree.throughput,
+    case Algorithm::kBaselineTree:
+      return from_baseline(baselines::best_kary_tree(instance),
                            Algorithm::kBaselineTree, max_out_degree);
-    }
-    case Algorithm::kBaselineChain: {
-      baselines::BaselineResult chain = baselines::chain(instance);
-      return make_response(std::move(chain.scheme), chain.throughput,
+    case Algorithm::kBaselineChain:
+      return from_baseline(baselines::chain(instance),
                            Algorithm::kBaselineChain, max_out_degree);
-    }
   }
   throw std::invalid_argument("Planner: unknown algorithm");
 }
@@ -204,12 +242,7 @@ PlanResponse Planner::plan(const Instance& instance, Algorithm algorithm,
 PlanResponse Planner::plan(const Instance& instance, Algorithm algorithm,
                            int max_out_degree,
                            const Fingerprint& instance_fp) {
-  if (config_.outage != nullptr && config_.outage->down) {
-    // Injected outage: the planning *service* is down (cache included —
-    // a real outage takes the whole endpoint, not just cold misses).
-    ++config_.outage->failures;
-    throw PlannerUnavailable();
-  }
+  refuse_if_down(config_.outage);
   const Fingerprint key = request_key(instance_fp, algorithm, max_out_degree);
   if (std::shared_ptr<const PlanResponse> cached = cache_->lookup(key)) {
     PlanResponse response = *cached;
@@ -251,10 +284,7 @@ PlanResponse Planner::plan(const PlanRequest& request) {
 
 std::vector<PlanResponse> Planner::plan_batch(
     const std::vector<PlanRequest>& requests) {
-  if (config_.outage != nullptr && config_.outage->down) {
-    ++config_.outage->failures;
-    throw PlannerUnavailable();
-  }
+  refuse_if_down(config_.outage);
   // One work item per distinct fingerprint, in first-occurrence order so the
   // dedup structure (and therefore every response) is independent of thread
   // count and timing. Requests are grouped purely by index: the Instance is
@@ -301,14 +331,14 @@ std::vector<PlanResponse> Planner::plan_batch(
       },
       /*chunk=*/1);
 
+  std::size_t cached = 0;
+  for (const WorkItem& item : work) {
+    if (item.from_cache) ++cached;
+  }
   if (hooks_.profiler != nullptr) {
     // Post-barrier, like the trace spans: batch totals are recorded once
     // from this thread (the per-item compute/verify counters were summed
     // commutatively by the workers).
-    std::size_t cached = 0;
-    for (const WorkItem& item : work) {
-      if (item.from_cache) ++cached;
-    }
     hooks_.profiler->enter("planner/plan_batch");
     hooks_.profiler->count("planner/plan_batch", "requests", requests.size());
     hooks_.profiler->count("planner/plan_batch", "distinct", work.size());
@@ -320,15 +350,11 @@ std::vector<PlanResponse> Planner::plan_batch(
     // Emitted after the barrier, from this thread, in work-item order:
     // append order (and the sequence numbers) never depends on which
     // worker finished first.
-    std::size_t computed = 0;
-    for (const WorkItem& item : work) {
-      if (!item.from_cache) ++computed;
-    }
     hooks_.trace->complete(
         obs::Lane::kPlanner, "engine", "plan_batch",
         {{"requests", static_cast<std::uint64_t>(requests.size())},
          {"distinct", static_cast<std::uint64_t>(work.size())},
-         {"computed", static_cast<std::uint64_t>(computed)}},
+         {"computed", static_cast<std::uint64_t>(work.size() - cached)}},
         batch_timer.elapsed_us());
     for (const WorkItem& item : work) {
       const PlanRequest& request = requests[item.first_index];

@@ -14,12 +14,6 @@ namespace bmp::engine {
 
 RepairResult repair_scheme(const Instance& survivors,
                            const BroadcastScheme& restricted,
-                           double target_rate) {
-  return repair_scheme(survivors, restricted, target_rate, nullptr);
-}
-
-RepairResult repair_scheme(const Instance& survivors,
-                           const BroadcastScheme& restricted,
                            double target_rate, flow::Verifier* verifier) {
   if (restricted.num_nodes() != survivors.size()) {
     throw std::invalid_argument("repair_scheme: instance/scheme size mismatch");
@@ -51,20 +45,12 @@ RepairResult repair_scheme(const Instance& survivors,
     // patched first for the same reason.
     std::vector<int> receivers;
     receivers.reserve(static_cast<std::size_t>(num_nodes - 1));
-    for (int i = 1; i < num_nodes; ++i) {
-      if (survivors.is_guarded(i)) receivers.push_back(i);
+    for (const bool guarded : {true, false}) {
+      for (int i = 1; i < num_nodes; ++i) {
+        if (survivors.is_guarded(i) == guarded) receivers.push_back(i);
+      }
     }
-    for (int i = 1; i < num_nodes; ++i) {
-      if (!survivors.is_guarded(i)) receivers.push_back(i);
-    }
-    std::vector<int> sender_order;
-    sender_order.reserve(static_cast<std::size_t>(num_nodes));
-    for (int i = 1; i < num_nodes; ++i) {
-      if (survivors.is_guarded(i)) sender_order.push_back(i);
-    }
-    for (int i = 1; i < num_nodes; ++i) {
-      if (!survivors.is_guarded(i)) sender_order.push_back(i);
-    }
+    std::vector<int> sender_order = receivers;
     sender_order.push_back(0);
     // Dust consolidation: an edge carrying under 2% of the target is
     // scheduling residue — in a chunk-level execution one transmission on
@@ -204,6 +190,28 @@ RepairResult repair_scheme(const Instance& survivors,
   return result;
 }
 
+namespace {
+
+// Whether the planner computed `response` and verified it. A cache hit
+// reuses a plan whose verification was counted when it was computed.
+bool verified_planner_side(const PlanResponse& response) {
+  return !response.cache_hit && response.verified_throughput >= 0.0;
+}
+
+// `instance`'s open/guarded layout with per-slot upload caps (slot 0 is
+// the source). A node keeps its index when the caps keep its class's order.
+Instance with_caps(const Instance& instance, const std::vector<double>& caps) {
+  std::vector<double> open;
+  std::vector<double> guarded;
+  for (int i = 1; i < instance.size(); ++i) {
+    (instance.is_guarded(i) ? guarded : open)
+        .push_back(caps[static_cast<std::size_t>(i)]);
+  }
+  return Instance(caps[0], std::move(open), std::move(guarded));
+}
+
+}  // namespace
+
 Session::Session(Planner& planner, Instance instance, SessionConfig config,
                  obs::Hooks hooks)
     : planner_(planner),
@@ -221,8 +229,7 @@ Session::Session(Planner& planner, Instance instance, SessionConfig config,
   design_rate_ = response.throughput;
   design_total_ = instance_.total_sum();
   current_rate_ = response.throughput;
-  initial_plan_verified_ =
-      !response.cache_hit && response.verified_throughput >= 0.0;
+  initial_plan_verified_ = verified_planner_side(response);
   initial_plan_tier_ = response.verified_tier;
 }
 
@@ -238,15 +245,11 @@ void Session::rescale(double factor) {
   if (!std::isfinite(factor) || factor <= 0.0) {
     throw std::invalid_argument("Session::rescale: factor must be > 0");
   }
-  // Rebuild the instance from its sorted order: scaling by a positive factor
-  // preserves the non-increasing order, and the stable per-class sort keeps
-  // every node at its current index.
-  std::vector<double> open;
-  std::vector<double> guarded;
-  for (int i = 1; i < instance_.size(); ++i) {
-    (instance_.is_guarded(i) ? guarded : open).push_back(instance_.b(i) * factor);
-  }
-  Instance scaled(instance_.b(0) * factor, std::move(open), std::move(guarded));
+  // Scaling by a positive factor preserves the non-increasing order, so
+  // every node keeps its current index.
+  std::vector<double> caps = capacities();
+  for (double& cap : caps) cap *= factor;
+  Instance scaled = with_caps(instance_, caps);
   BroadcastScheme scheme(scheme_->num_nodes());
   for (int i = 0; i < scheme_->num_nodes(); ++i) {
     for (const auto& [to, rate] : scheme_->out_edges(i)) {
@@ -264,20 +267,90 @@ void Session::rescale(double factor) {
   current_rate_ *= factor;
 }
 
-void Session::trace_churn(const char* name, const ChurnOutcome& outcome,
-                          double wall_us) const {
-  if (hooks_.trace == nullptr) return;
-  hooks_.trace->complete(obs::Lane::kSession, "engine", name,
-                         {{"channel", config_.trace_id},
-                          {"departed", outcome.departed},
-                          {"survivors", outcome.survivors},
-                          {"degraded_rate", outcome.degraded_rate},
-                          {"repaired_rate", outcome.repaired_rate},
-                          {"achieved_rate", outcome.achieved_rate},
-                          {"full_replan", outcome.full_replan},
-                          {"planner_fault", outcome.planner_fault},
-                          {"verify_calls", outcome.verify_calls}},
-                         wall_us);
+ChurnOutcome Session::repair_or_replan(ChurnOutcome outcome, Instance next,
+                                       const BroadcastScheme& start,
+                                       double target, bool force_replan,
+                                       const char* span,
+                                       const obs::WallTimer& timer) {
+  const flow::VerifyStats before = verifier_.stats();
+  outcome.degraded_rate = verifier_.verify(start).throughput;
+  const double tol = 1e-9 * std::max(1.0, design_rate_);
+  const double bar = config_.replan_threshold * target;
+  const auto repair_toward = [&](double rate) {
+    return repair_scheme(next, start, rate, &verifier_);
+  };
+  // The best repair, kept below the bar too: if the planner is down, a
+  // verified overlay of exactly `next` beats serving nothing.
+  std::optional<RepairResult> repair;
+  if (!force_replan) {
+    // Descending target ladder: the full target first, then reduced
+    // targets down to the bar (each one trims over-fed nodes to free
+    // upload for the deficits). Stop at the first repair that clears it.
+    repair = repair_toward(target);
+    for (const double fraction : {(1.0 + config_.replan_threshold) / 2.0,
+                                  config_.replan_threshold}) {
+      if (repair->throughput + tol >= bar) break;
+      if (fraction >= 1.0) continue;
+      RepairResult attempt = repair_toward(fraction * target);
+      if (attempt.throughput > repair->throughput) repair = std::move(attempt);
+    }
+  }
+  std::optional<flow::VerifyTier> replan_tier;  // set iff verified here
+  if (!repair || repair->throughput + tol < bar) {
+    try {
+      const PlanResponse response =
+          planner_.plan(next, kSessionAlgorithm, kSessionMaxOutDegree,
+                        instance_fp_.value());
+      if (verified_planner_side(response)) replan_tier = response.verified_tier;
+      scheme_ = response.scheme;
+      design_rate_ = response.throughput;
+      design_total_ = next.total_sum();
+      current_rate_ = response.throughput;
+      ++full_replans_;
+      outcome.full_replan = true;
+    } catch (const PlannerUnavailable&) {
+      // Planner outage: serve the repair (computing one now if force_replan
+      // skipped it). The host re-plans when the outage ends.
+      outcome.planner_fault = true;
+      if (!repair) repair = repair_toward(target);
+    }
+  }
+  if (repair) outcome.repaired_rate = repair->throughput;
+  if (!outcome.full_replan) {
+    scheme_ = std::make_shared<const BroadcastScheme>(std::move(repair->scheme));
+    current_rate_ = repair->throughput;
+    ++incremental_replans_;
+  }
+  instance_ = std::move(next);
+  const flow::VerifyStats& after = verifier_.stats();
+  outcome.verify_calls = static_cast<int>(after.calls - before.calls);
+  outcome.verify_sweep = static_cast<int>(after.tier_sweep - before.tier_sweep);
+  outcome.verify_maxflow =
+      static_cast<int>(after.tier_maxflow - before.tier_maxflow);
+  outcome.verify_us = after.total_us - before.total_us;
+  if (replan_tier) {
+    // The computed re-plan was verified planner-side; count it so the
+    // runtime's verify.* metrics cover every verification this event
+    // triggered. Its wall-clock cost is attributed to planning.
+    ++outcome.verify_calls;
+    (*replan_tier == flow::VerifyTier::kAcyclicSweep ? outcome.verify_sweep
+                                                     : outcome.verify_maxflow) += 1;
+  }
+  outcome.achieved_rate = current_rate_;
+  if (hooks_.trace != nullptr) {
+    hooks_.trace->complete(obs::Lane::kSession, "engine", span,
+                           {{"channel", config_.trace_id},
+                            {"departed", outcome.departed},
+                            {"survivors", outcome.survivors},
+                            {"degraded_rate", outcome.degraded_rate},
+                            {"repaired_rate", outcome.repaired_rate},
+                            {"achieved_rate", outcome.achieved_rate},
+                            {"full_replan", outcome.full_replan},
+                            {"planner_fault", outcome.planner_fault},
+                            {"verify_calls", outcome.verify_calls}},
+                           timer.elapsed_us());
+  }
+  return outcome;
 }
 
 ChurnOutcome Session::adapt(const AdaptationRequest& request) {
@@ -310,25 +383,16 @@ ChurnOutcome Session::adapt(const AdaptationRequest& request) {
   // Effective platform in the *current slot* caller numbering: class sizes
   // are unchanged, so the new instance's original_id(j) is directly the old
   // slot the (possibly re-sorted) node j came from.
-  std::vector<double> open;
-  std::vector<double> guarded;
-  for (int i = 1; i < size; ++i) {
-    (instance_.is_guarded(i) ? guarded : open).push_back(request.capacities[
-        static_cast<std::size_t>(i)]);
-  }
-  Instance effective(request.capacities[0], std::move(open),
-                     std::move(guarded));
+  Instance effective = with_caps(instance_, request.capacities);
   // The fingerprint follows the capacity deltas node by node (most
   // adaptations touch a handful of nodes, not the platform).
   for (int i = 1; i < size; ++i) {
-    const double before = instance_.b(i);
     const double after = request.capacities[static_cast<std::size_t>(i)];
-    if (before == after) continue;
+    if (instance_.b(i) == after) continue;
+    instance_fp_.remove(instance_, i);
     if (instance_.is_guarded(i)) {
-      instance_fp_.remove_guarded(before);
       instance_fp_.add_guarded(after);
     } else {
-      instance_fp_.remove_open(before);
       instance_fp_.add_open(after);
     }
   }
@@ -371,8 +435,6 @@ ChurnOutcome Session::adapt(const AdaptationRequest& request) {
     }
   }
 
-  const flow::VerifyStats before = verifier_.stats();
-  outcome.degraded_rate = verifier_.verify(permuted).throughput;
   // The reference the adaptation is judged by: the design rate scaled by
   // the capacity ratio against the *design* platform total (uniformly
   // rescaling every cap by f rescales the optimum by exactly f, so this
@@ -380,82 +442,12 @@ ChurnOutcome Session::adapt(const AdaptationRequest& request) {
   // platform targets ~0.925x design, and a later restore back to nominal
   // targets exactly the design rate again instead of compounding ratios
   // of already-adapted totals).
-  const double new_total = effective.total_sum();
-  const double target = design_total_ > 0.0
-                            ? design_rate_ * (new_total / design_total_)
-                            : design_rate_;
-  const double tol = 1e-9 * std::max(1.0, design_rate_);
-  const double bar = config_.replan_threshold * target;
-  bool replan_verified = false;
-  flow::VerifyTier replan_tier = flow::VerifyTier::kOracle;
-  bool patched = false;
-  // Best below-bar repair, held back in case the full re-plan finds the
-  // planner down (fault injection): verified, just not good enough — which
-  // beats serving nothing during an outage.
-  std::optional<RepairResult> kept_repair;
-  if (!request.force_replan) {
-    const double fractions[] = {1.0, (1.0 + config_.replan_threshold) / 2.0,
-                                config_.replan_threshold};
-    RepairResult repair = repair_scheme(effective, permuted, target, &verifier_);
-    for (std::size_t f = 1; f < 3 && repair.throughput + tol < bar; ++f) {
-      RepairResult attempt =
-          repair_scheme(effective, permuted, fractions[f] * target, &verifier_);
-      if (attempt.throughput > repair.throughput) repair = std::move(attempt);
-    }
-    outcome.repaired_rate = repair.throughput;
-    if (repair.throughput + tol >= bar) {
-      scheme_ = std::make_shared<const BroadcastScheme>(std::move(repair.scheme));
-      current_rate_ = repair.throughput;
-      ++incremental_replans_;
-      patched = true;
-    } else {
-      kept_repair.emplace(std::move(repair));
-    }
-  }
-  if (!patched) {
-    try {
-      const PlanResponse response =
-          planner_.plan(effective, kSessionAlgorithm, kSessionMaxOutDegree,
-                        instance_fp_.value());
-      replan_verified = !response.cache_hit && response.verified_throughput >= 0.0;
-      replan_tier = response.verified_tier;
-      scheme_ = response.scheme;
-      design_rate_ = response.throughput;
-      design_total_ = new_total;
-      current_rate_ = response.throughput;
-      ++full_replans_;
-      outcome.full_replan = true;
-    } catch (const PlannerUnavailable&) {
-      // Planner outage: keep serving on the incremental repair (computing
-      // one now if force_replan skipped it). The overlay is verified and at
-      // most one churn event stale; the host re-plans when the outage ends.
-      outcome.planner_fault = true;
-      if (!kept_repair) {
-        kept_repair.emplace(
-            repair_scheme(effective, permuted, target, &verifier_));
-        outcome.repaired_rate = kept_repair->throughput;
-      }
-      scheme_ = std::make_shared<const BroadcastScheme>(
-          std::move(kept_repair->scheme));
-      current_rate_ = kept_repair->throughput;
-      ++incremental_replans_;
-    }
-  }
-  instance_ = std::move(effective);
-  const flow::VerifyStats& after = verifier_.stats();
-  outcome.verify_calls = static_cast<int>(after.calls - before.calls);
-  outcome.verify_sweep = static_cast<int>(after.tier_sweep - before.tier_sweep);
-  outcome.verify_maxflow =
-      static_cast<int>(after.tier_maxflow - before.tier_maxflow);
-  outcome.verify_us = after.total_us - before.total_us;
-  if (replan_verified) {
-    ++outcome.verify_calls;
-    (replan_tier == flow::VerifyTier::kAcyclicSweep ? outcome.verify_sweep
-                                                    : outcome.verify_maxflow) += 1;
-  }
-  outcome.achieved_rate = current_rate_;
-  trace_churn("adapt", outcome, timer.elapsed_us());
-  return outcome;
+  const double target =
+      design_total_ > 0.0
+          ? design_rate_ * (effective.total_sum() / design_total_)
+          : design_rate_;
+  return repair_or_replan(outcome, std::move(effective), permuted, target,
+                          request.force_replan, "adapt", timer);
 }
 
 ChurnOutcome Session::on_departure(const std::vector<int>& departed) {
@@ -490,79 +482,8 @@ ChurnOutcome Session::on_departure(const std::vector<int>& departed) {
     outcome.achieved_rate = 0.0;
     return outcome;
   }
-
-  const flow::VerifyStats before = verifier_.stats();
-  outcome.degraded_rate = verifier_.verify(restricted).throughput;
-  const double tol = 1e-9 * std::max(1.0, design_rate_);
-  const double bar = config_.replan_threshold * design_rate_;
-  // Descending target ladder: full design rate first, then reduced targets
-  // down to the acceptance bar (each one trims over-fed survivors to free
-  // upload for the deficits). Keep the first repair that clears the bar.
-  const double fractions[] = {1.0, (1.0 + config_.replan_threshold) / 2.0,
-                              config_.replan_threshold};
-  RepairResult repair =
-      repair_scheme(survivors, restricted, design_rate_, &verifier_);
-  for (std::size_t f = 1; f < 3 && repair.throughput + tol < bar; ++f) {
-    if (fractions[f] >= 1.0) continue;
-    RepairResult attempt = repair_scheme(
-        survivors, restricted, fractions[f] * design_rate_, &verifier_);
-    if (attempt.throughput > repair.throughput) repair = std::move(attempt);
-  }
-  outcome.repaired_rate = repair.throughput;
-  bool replan_verified = false;
-  flow::VerifyTier replan_tier = flow::VerifyTier::kOracle;
-  if (repair.throughput + tol >= config_.replan_threshold * design_rate_) {
-    instance_ = std::move(survivors);
-    scheme_ = std::make_shared<const BroadcastScheme>(std::move(repair.scheme));
-    current_rate_ = repair.throughput;
-    ++incremental_replans_;
-  } else {
-    try {
-      const PlanResponse response =
-          planner_.plan(survivors, kSessionAlgorithm, kSessionMaxOutDegree,
-                        instance_fp_.value());
-      // Cache hits reuse a plan whose verification already happened (and was
-      // already counted) when it was first computed.
-      replan_verified =
-          !response.cache_hit && response.verified_throughput >= 0.0;
-      replan_tier = response.verified_tier;
-      instance_ = std::move(survivors);
-      scheme_ = response.scheme;
-      design_rate_ = response.throughput;
-      design_total_ = instance_.total_sum();
-      current_rate_ = response.throughput;
-      ++full_replans_;
-      outcome.full_replan = true;
-    } catch (const PlannerUnavailable&) {
-      // Planner outage: the below-bar repair is still a verified overlay of
-      // exactly the survivor set — keep serving on it rather than stalling
-      // the stream. The host re-plans when the outage ends.
-      outcome.planner_fault = true;
-      instance_ = std::move(survivors);
-      scheme_ =
-          std::make_shared<const BroadcastScheme>(std::move(repair.scheme));
-      current_rate_ = repair.throughput;
-      ++incremental_replans_;
-    }
-  }
-  const flow::VerifyStats& after = verifier_.stats();
-  outcome.verify_calls = static_cast<int>(after.calls - before.calls);
-  outcome.verify_sweep = static_cast<int>(after.tier_sweep - before.tier_sweep);
-  outcome.verify_maxflow =
-      static_cast<int>(after.tier_maxflow - before.tier_maxflow);
-  outcome.verify_us = after.total_us - before.total_us;
-  if (replan_verified) {
-    // The computed full re-plan was verified planner-side (thread-local
-    // verifier); count it here so the runtime's verify.* metrics cover
-    // every verification this event triggered. Its wall-clock cost is
-    // attributed to planning, not verify_us.
-    ++outcome.verify_calls;
-    (replan_tier == flow::VerifyTier::kAcyclicSweep ? outcome.verify_sweep
-                                                    : outcome.verify_maxflow) += 1;
-  }
-  outcome.achieved_rate = current_rate_;
-  trace_churn("repair", outcome, timer.elapsed_us());
-  return outcome;
+  return repair_or_replan(outcome, std::move(survivors), restricted,
+                          design_rate_, false, "repair", timer);
 }
 
 }  // namespace bmp::engine

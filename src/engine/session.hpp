@@ -1,12 +1,12 @@
 // Long-lived planning sessions: a Session owns a planned overlay for one
-// platform and absorbs churn events without going back to the full planner
-// when it can avoid it. On a departure the overlay is first *restricted*
-// to the survivors (sim::restrict_scheme) and then *repaired* in place —
-// inflow deficits are patched greedily from survivors that still receive
-// the full stream and have spare upload. Only when the repaired overlay's
-// verified throughput falls below `replan_threshold` of the design rate
-// does the session pay for a full re-plan (which still goes through the
-// planner's cache, so identical survivor platforms across sessions dedupe).
+// platform and absorbs churn without going back to the full planner when
+// it can avoid it. A departure restricts the overlay to the survivors
+// (sim::restrict_scheme); an adaptation permutes it into the effective
+// instance and clamps it. Both end in one step: repair_scheme patches it
+// down a target ladder {1, (1+θ)/2, θ} (θ = replan_threshold), a repair
+// verified at θ of the target or better is kept, and otherwise the
+// session re-plans through the planner's cache (identical platforms across
+// sessions dedupe). During a planner outage the best repair is served.
 #pragma once
 
 #include <memory>
@@ -18,6 +18,7 @@
 #include "bmp/engine/planner.hpp"
 #include "bmp/flow/verify.hpp"
 #include "bmp/obs/hooks.hpp"
+#include "bmp/obs/trace.hpp"
 
 namespace bmp::engine {
 
@@ -33,19 +34,14 @@ struct RepairResult {
 /// upload, honoring bandwidth caps and the firewall constraint. Node k of
 /// `restricted` must be node k of `survivors` (the numbering produced by
 /// sim::remove_nodes + sim::restrict_scheme). Cyclic overlays are returned
-/// unpatched (their throughput is still measured).
-[[nodiscard]] RepairResult repair_scheme(const Instance& survivors,
-                                         const BroadcastScheme& restricted,
-                                         double target_rate);
-
-/// Same repair, but the final throughput verification runs through the
-/// caller's Verifier — a session reuses one engine (and its scratch) across
-/// every churn event and keeps per-tier statistics for the runtime's
-/// metrics. `verifier` may be nullptr (falls back to the thread-local one).
+/// unpatched (their throughput is still measured). The final throughput
+/// verification runs through `verifier` when given — a session reuses one
+/// engine (and its scratch) across every churn event and keeps per-tier
+/// statistics for the runtime's metrics — else through the thread-local one.
 [[nodiscard]] RepairResult repair_scheme(const Instance& survivors,
                                          const BroadcastScheme& restricted,
                                          double target_rate,
-                                         flow::Verifier* verifier);
+                                         flow::Verifier* verifier = nullptr);
 
 /// Planning knobs used for a session's initial plan and every full
 /// re-plan. kAcyclic: its DAG structure is what repair patches best.
@@ -139,18 +135,16 @@ class Session {
   }
 
   /// Absorbs the departure of `departed` (current sorted-instance node ids,
-  /// source excluded; throws on bad ids). Updates the session's platform
-  /// and overlay and reports what happened.
+  /// source excluded; throws on bad ids): the overlay restricted to the
+  /// survivors is repaired toward the design rate, or re-planned.
   ChurnOutcome on_departure(const std::vector<int>& departed);
 
   /// Re-plans the session on *effective* capacities (the control plane's
-  /// telemetry-derived view of what each node can actually push). Same
-  /// node set, new caps: the overlay is first permuted into the effective
-  /// instance's sorted order, clamped to the per-edge limits and the new
-  /// sender caps, then patched incrementally toward the capacity-scaled
-  /// design rate — falling back to a full (cached) re-plan when the patch
-  /// misses the replan threshold or `force_replan` demands it. Slot order
-  /// may change (caps re-sort); callers remap through
+  /// telemetry-derived view of what each node can actually push): the
+  /// overlay, permuted into the effective instance's sorted order and
+  /// clamped to the edge limits and sender caps, is repaired toward the
+  /// capacity-scaled design rate (unless `force_replan`), or re-planned.
+  /// Slot order may change (caps re-sort); callers remap through
   /// instance().original_id exactly as after on_departure.
   ChurnOutcome adapt(const AdaptationRequest& request);
 
@@ -161,10 +155,14 @@ class Session {
   void rescale(double factor);
 
  private:
-  /// Emits the span for one absorbed churn/adaptation event (no-op when
-  /// tracing is off).
-  void trace_churn(const char* name, const ChurnOutcome& outcome,
-                   double wall_us) const;
+  /// The step both events end in (see the file comment): repairs the
+  /// degraded overlay `start` of `next` toward `target` unless
+  /// `force_replan`, or re-plans `next`; `next` becomes the platform.
+  /// Fills `outcome`'s rates and verify counts; emits the `span` span.
+  ChurnOutcome repair_or_replan(ChurnOutcome outcome, Instance next,
+                                const BroadcastScheme& start, double target,
+                                bool force_replan, const char* span,
+                                const obs::WallTimer& timer);
 
   Planner& planner_;
   SessionConfig config_;

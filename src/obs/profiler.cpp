@@ -22,7 +22,7 @@ void Profiler::count(std::string_view phase, std::string_view counter,
   const std::lock_guard<std::mutex> lock(mutex_);
   auto it = phases_.find(phase);
   if (it == phases_.end()) it = phases_.emplace(std::string(phase), Phase{}).first;
-  auto cit = it->second.counters.find(std::string(counter));
+  auto cit = it->second.counters.find(counter);
   if (cit == it->second.counters.end()) {
     it->second.counters.emplace(std::string(counter), delta);
   } else {
@@ -51,17 +51,16 @@ std::uint64_t Profiler::counter(std::string_view phase,
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = phases_.find(phase);
   if (it == phases_.end()) return 0;
-  const auto cit = it->second.counters.find(std::string(name));
+  const auto cit = it->second.counters.find(name);
   return cit == it->second.counters.end() ? 0 : cit->second;
 }
 
 std::uint64_t Profiler::total(std::string_view counter) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t sum = 0;
-  const std::string name(counter);
   for (const auto& [path, phase] : phases_) {
     (void)path;
-    const auto cit = phase.counters.find(name);
+    const auto cit = phase.counters.find(counter);
     if (cit != phase.counters.end()) sum += cit->second;
   }
   return sum;
@@ -125,7 +124,7 @@ void render_tree(const TreeNode& node, std::string& out, int depth) {
 }
 
 std::string render_counters(
-    const std::map<std::string, std::uint64_t>& counters) {
+    const std::map<std::string, std::uint64_t, std::less<>>& counters) {
   if (counters.empty()) return {};
   std::string out = "{";
   bool first = true;
@@ -243,7 +242,7 @@ std::string Profiler::attribution_table(std::size_t top_n) const {
     os << "  " << head << path << std::string(width - path.size(), ' ')
        << "  calls=" << phase.calls << " work=" << w;
     // The phase's dominant counter, so the table names the work unit.
-    const std::map<std::string, std::uint64_t>& counters = phase.counters;
+    const auto& counters = phase.counters;
     if (!counters.empty()) {
       auto top = counters.begin();
       for (auto it = counters.begin(); it != counters.end(); ++it) {

@@ -82,7 +82,8 @@ class Profiler {
  private:
   struct Phase {
     std::uint64_t calls = 0;
-    std::map<std::string, std::uint64_t> counters;
+    /// Transparent comparator: lookups by string_view build no temporary.
+    std::map<std::string, std::uint64_t, std::less<>> counters;
   };
 
   [[nodiscard]] static std::uint64_t work_of(const Phase& phase);

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -351,6 +352,135 @@ TEST(SessionAdapt, RejectsMalformedRequests) {
   request.capacities = session.capacities();
   request.edge_limits.emplace_back(0, 9, 1.0);  // unknown slot
   EXPECT_THROW(session.adapt(request), std::invalid_argument);
+}
+
+// A planner whose outage a test holds down after the session's first plan,
+// a small mixed platform, and the demotion of two mid-class uploaders.
+struct OutageFixture {
+  engine::PlannerOutage outage;
+  engine::Planner planner{[this] {
+    engine::PlannerConfig config;
+    config.outage = &outage;
+    return config;
+  }()};
+};
+
+Instance six_peers() {
+  return Instance(100.0, {60.0, 50.0, 40.0, 30.0}, {20.0, 10.0});
+}
+
+engine::AdaptationRequest halve_slots_1_and_2(const engine::Session& session) {
+  engine::AdaptationRequest request;
+  request.capacities = session.capacities();
+  request.capacities[1] *= 0.5;
+  request.capacities[2] *= 0.5;
+  return request;
+}
+
+TEST(SessionAdapt, OutageServesTheBelowBarRepair) {
+  OutageFixture fixture;
+  engine::Session session(fixture.planner, six_peers());
+  const double design = session.design_rate();
+  fixture.outage.down = true;
+  // A source cut to 10 caps every overlay at 10, far below the bar.
+  engine::AdaptationRequest request;
+  request.capacities = session.capacities();
+  request.capacities[0] = 10.0;
+  const engine::ChurnOutcome outcome = session.adapt(request);
+  EXPECT_TRUE(outcome.planner_fault);
+  EXPECT_FALSE(outcome.full_replan);
+  EXPECT_LE(outcome.repaired_rate, 10.0 + 1e-9);
+  EXPECT_GT(outcome.repaired_rate, 0.0);
+  EXPECT_EQ(outcome.achieved_rate, outcome.repaired_rate);
+  EXPECT_EQ(session.current_rate(), outcome.repaired_rate);
+  EXPECT_EQ(session.design_rate(), design);
+  EXPECT_EQ(session.full_replans(), 0);
+  EXPECT_EQ(session.incremental_replans(), 1);
+}
+
+TEST(SessionAdapt, ForcedReplanDuringOutageServesAFreshRepair) {
+  OutageFixture fixture;
+  engine::Session session(fixture.planner, six_peers());
+  fixture.outage.down = true;
+  engine::AdaptationRequest request = halve_slots_1_and_2(session);
+  request.force_replan = true;
+  const engine::ChurnOutcome outcome = session.adapt(request);
+  EXPECT_TRUE(outcome.planner_fault);
+  EXPECT_FALSE(outcome.full_replan);
+  EXPECT_GT(outcome.repaired_rate, 0.0);
+  EXPECT_EQ(outcome.achieved_rate, outcome.repaired_rate);
+  // The degraded overlay and the one repair computed after the refusal.
+  EXPECT_EQ(outcome.verify_calls, 2);
+  EXPECT_EQ(session.incremental_replans(), 1);
+  EXPECT_TRUE(session.scheme().validate(session.instance()).empty());
+  EXPECT_NEAR(flow::scheme_throughput(session.scheme()), session.current_rate(),
+              1e-9 * session.current_rate());
+}
+
+TEST(SessionAdapt, FullBarLadderRunsOneRepair) {
+  // At replan_threshold 1 every ladder rung is the target itself.
+  engine::Planner planner;
+  engine::SessionConfig config;
+  config.replan_threshold = 1.0;
+  engine::Session session(planner, six_peers(), config);
+  const engine::ChurnOutcome outcome =
+      session.adapt(halve_slots_1_and_2(session));
+  ASSERT_TRUE(outcome.full_replan);
+  // The degraded overlay, one repair and the computed re-plan.
+  EXPECT_EQ(outcome.verify_calls, 3);
+}
+
+std::string describe(const engine::ChurnOutcome& o) {
+  // verify_us is wall clock; every other field is deterministic.
+  char line[320];
+  std::snprintf(line, sizeof(line),
+                "departed=%d survivors=%d design=%.17g degraded=%.17g "
+                "repaired=%.17g achieved=%.17g full_replan=%d "
+                "planner_fault=%d verify=%d/%d/%d\n",
+                o.departed, o.survivors, o.design_rate, o.degraded_rate,
+                o.repaired_rate, o.achieved_rate, o.full_replan ? 1 : 0,
+                o.planner_fault ? 1 : 0, o.verify_calls, o.verify_sweep,
+                o.verify_maxflow);
+  return line;
+}
+
+TEST(SessionAdapt, OutcomeSequenceIsPinned) {
+  engine::Planner planner;
+  engine::Session session(
+      planner, Instance(100.0, {60.0, 50.0, 40.0, 30.0, 25.0},
+                        {20.0, 15.0, 10.0}));
+  std::string log = describe(session.on_departure({2}));
+  // Demote two uploaders, then restore them to their nominal caps (the
+  // demotion may re-sort the slots: follow original_id).
+  const std::vector<double> nominal = session.capacities();
+  log += describe(session.adapt(halve_slots_1_and_2(session)));
+  engine::AdaptationRequest restore;
+  for (int slot = 0; slot < session.instance().size(); ++slot) {
+    restore.capacities.push_back(nominal[static_cast<std::size_t>(
+        session.instance().original_id(slot))]);
+  }
+  log += describe(session.adapt(restore));
+  engine::AdaptationRequest forced;
+  forced.capacities = session.capacities();
+  forced.force_replan = true;
+  log += describe(session.adapt(forced));
+  EXPECT_EQ(log,
+            "departed=1 survivors=7 design=42.500000000043748 "
+            "degraded=10.000000000262489 repaired=40.37500000004156 "
+            "achieved=40.37500000004156 full_replan=0 planner_fault=0 "
+            "verify=3/3/0\n"
+            "departed=0 survivors=7 design=42.500000000043748 "
+            "degraded=20.18750000002078 repaired=30.357142857174107 "
+            "achieved=30.357142857174107 full_replan=0 planner_fault=0 "
+            "verify=2/2/0\n"
+            "departed=0 survivors=7 design=42.500000000043748 "
+            "degraded=30.357142857174107 repaired=36.428571428565178 "
+            "achieved=36.428571428565178 full_replan=0 planner_fault=0 "
+            "verify=2/2/0\n"
+            "departed=0 survivors=7 design=42.500000000043748 "
+            "degraded=36.428571428565178 repaired=0 "
+            "achieved=41.428571428614283 full_replan=1 planner_fault=0 "
+            "verify=2/2/0\n");
 }
 
 // ------------------------------------------------------ adaptive scenario

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "bmp/core/acyclic_search.hpp"
@@ -13,6 +14,8 @@
 #include "bmp/engine/planner.hpp"
 #include "bmp/engine/session.hpp"
 #include "bmp/flow/maxflow.hpp"
+#include "bmp/flow/verify.hpp"
+#include "bmp/gen/generator.hpp"
 #include "bmp/sim/churn.hpp"
 #include "test_helpers.hpp"
 
@@ -284,6 +287,22 @@ TEST(Planner, AutoHonorsDegreeBound) {
   }
 }
 
+// At 200k all-open peers these seeds run solve_acyclic's pools dry, so
+// the acyclic candidate throws. kAuto must still serve the Thm 5.2 one.
+TEST(Planner, AutoDropsAThrowingCandidate) {
+  for (const std::uint64_t seed : {3, 4, 10}) {
+    bmp::util::Xoshiro256 rng(seed);
+    const Instance platform =
+        gen::random_instance({200000, 1.0, gen::Dist::kUnif100}, rng);
+    const PlanResponse response =
+        Planner::plan_uncached(platform, Algorithm::kAuto, 0);
+    const double verified =
+        flow::Verifier().verify(*response.scheme).throughput;
+    EXPECT_NEAR(verified, response.throughput, 1e-9 * response.throughput)
+        << "seed " << seed;
+  }
+}
+
 TEST(Planner, BatchDeterministicAcrossThreadCounts) {
   bmp::util::Xoshiro256 rng(11);
   std::vector<PlanRequest> stream;
@@ -369,6 +388,31 @@ TEST(Session, CatastrophicDepartureForcesFullReplan) {
   // Full replan resets the design rate to the survivors' optimum.
   EXPECT_NEAR(session.design_rate(), solve_acyclic(survivors).throughput, 1e-9);
   EXPECT_TRUE(session.scheme().validate(survivors).empty());
+}
+
+TEST(Session, OutageServesTheBelowBarRepairOfADeparture) {
+  // The departure of CatastrophicDepartureForcesFullReplan, with the
+  // planner down: the repair misses the bar and is served as it is.
+  const Instance platform(10.0, {10.0, 10.0, 10.0, 10.0}, {1.0, 1.0});
+  PlannerOutage outage;
+  PlannerConfig config;
+  config.outage = &outage;
+  Planner planner(config);
+  Session session(planner, platform);
+  const double design = session.design_rate();
+  outage.down = true;
+
+  const ChurnOutcome outcome = session.on_departure({1, 2, 3});
+  EXPECT_TRUE(outcome.planner_fault);
+  EXPECT_FALSE(outcome.full_replan);
+  EXPECT_LT(outcome.repaired_rate, 0.9 * design);
+  EXPECT_EQ(outcome.achieved_rate, outcome.repaired_rate);
+  EXPECT_EQ(session.current_rate(), outcome.repaired_rate);
+  EXPECT_EQ(session.design_rate(), design);
+  EXPECT_EQ(session.full_replans(), 0);
+  EXPECT_EQ(session.incremental_replans(), 1);
+  EXPECT_EQ(session.instance().size(), platform.size() - 3);
+  EXPECT_TRUE(session.scheme().validate(session.instance()).empty());
 }
 
 TEST(Session, EmptyDepartureIsNoop) {

@@ -10,7 +10,8 @@
 //   * profile.* counters/calls/work  deterministic work attribution —
 //     compared EXACTLY (tolerance 0, either direction). A drift means the
 //     algorithm did different work, which is a behavior change the commit
-//     must own by refreshing bench/baselines/.
+//     must own by refreshing bench/baselines/. A key present in only one
+//     report (a phase or counter added or removed) regresses too.
 //   * ratios (".ratio", "share", "hit_rate", "efficiency")  higher-better,
 //     5% tolerance.
 //   * throughput ("per_s", "throughput", "chunks_s")  higher-better, wall
@@ -374,9 +375,25 @@ int main(int argc, char** argv) {
   int regressions = 0;
   int improvements = 0;
   int compared = 0;
+  // An exact-class key on one side only is a phase or counter that
+  // vanished or appeared: the work changed shape, which the exact gate must
+  // see. Other one-sided keys are skipped.
+  const auto one_sided = [&](const std::string& key, double base_value,
+                             double cand_value) {
+    if (classify(key, wall_tolerance).direction != Direction::kExact) return;
+    ++compared;
+    ++regressions;
+    rows.push_back({key, base_value, cand_value, NAN, "REGRESSED"});
+  };
+  for (const auto& [key, cand_value] : cand.numbers) {
+    if (base.numbers.count(key) == 0) one_sided(key, NAN, cand_value);
+  }
   for (const auto& [key, base_value] : base.numbers) {
     const auto it = cand.numbers.find(key);
-    if (it == cand.numbers.end()) continue;
+    if (it == cand.numbers.end()) {
+      one_sided(key, base_value, NAN);
+      continue;
+    }
     const double cand_value = it->second;
     const Rule rule = classify(key, wall_tolerance);
     if (rule.direction == Direction::kInfo) continue;
@@ -430,7 +447,11 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) {
     const Rule rule = classify(row.key, wall_tolerance);
     char delta[32];
-    if (std::isfinite(row.delta_pct)) {
+    if (std::isnan(row.base)) {
+      std::snprintf(delta, sizeof(delta), "added");
+    } else if (std::isnan(row.cand)) {
+      std::snprintf(delta, sizeof(delta), "removed");
+    } else if (std::isfinite(row.delta_pct)) {
       std::snprintf(delta, sizeof(delta), "%+.1f%%", row.delta_pct);
     } else {
       std::snprintf(delta, sizeof(delta), "new");
