@@ -13,7 +13,32 @@ BroadcastScheme::BroadcastScheme(int num_nodes)
   if (num_nodes <= 0) throw std::invalid_argument("BroadcastScheme: empty node set");
 }
 
+namespace {
+
+// One add() step on a stored rate (0 = absent): the new rate, or 0 when
+// it lands within kZeroTol of zero. Scale-free tolerances: relative to the
+// magnitudes involved in this update, so bit/s and Gbit/s platforms behave
+// identically.
+double step_rate(double old, double delta) {
+  const double next = old + delta;
+  const double magnitude = std::abs(old) + std::abs(delta);
+  if (next < -1e-9 * magnitude) {
+    throw std::invalid_argument("BroadcastScheme::add: rate driven negative");
+  }
+  return std::abs(next) <= BroadcastScheme::kZeroTol * magnitude ? 0.0 : next;
+}
+
+}  // namespace
+
 void BroadcastScheme::add(int from, int to, double delta) {
+  update(from, to, delta, false);
+}
+
+void BroadcastScheme::round_trip(int from, int to, double delta) {
+  update(from, to, delta, true);
+}
+
+void BroadcastScheme::update(int from, int to, double delta, bool round_trip) {
   if (from < 0 || from >= num_nodes() || to < 0 || to >= num_nodes()) {
     throw std::out_of_range("BroadcastScheme::add: node id out of range");
   }
@@ -22,23 +47,15 @@ void BroadcastScheme::add(int from, int to, double delta) {
     throw std::invalid_argument("BroadcastScheme::add: non-finite rate");
   }
   auto& edges = out_[static_cast<std::size_t>(from)];
-  auto it = edges.find(to);
-  const double old = it == edges.end() ? 0.0 : it->second;
-  const double next = old + delta;
-  // Scale-free tolerances: relative to the magnitudes involved in this
-  // update, so bit/s and Gbit/s platforms behave identically.
-  const double magnitude = std::abs(old) + std::abs(delta);
-  if (next < -1e-9 * magnitude) {
-    throw std::invalid_argument("BroadcastScheme::add: rate driven negative");
-  }
-  if (std::abs(next) <= kZeroTol * magnitude) {
+  const auto it = edges.find(to);
+  double rate = step_rate(it == edges.end() ? 0.0 : it->second, delta);
+  if (round_trip) rate = step_rate(rate, -delta);
+  if (rate == 0.0) {
     if (it != edges.end()) edges.erase(it);
-    return;
-  }
-  if (it == edges.end()) {
-    edges.emplace(to, next);
+  } else if (it == edges.end()) {
+    edges.emplace(to, rate);
   } else {
-    it->second = next;
+    it->second = rate;
   }
 }
 
@@ -65,6 +82,14 @@ double BroadcastScheme::in_rate(int i) const {
     if (it != edges.end()) sum += it->second;
   }
   return sum;
+}
+
+std::vector<double> BroadcastScheme::in_rates() const {
+  std::vector<double> in(out_.size(), 0.0);
+  for (const auto& edges : out_) {
+    for (const auto& [to, r] : edges) in[static_cast<std::size_t>(to)] += r;
+  }
+  return in;
 }
 
 int BroadcastScheme::out_degree(int i) const {
@@ -153,10 +178,7 @@ std::vector<std::string> BroadcastScheme::validate(const Instance& instance,
 }
 
 double BroadcastScheme::max_inflow_deviation(double T) const {
-  std::vector<double> in(static_cast<std::size_t>(num_nodes()), 0.0);
-  for (const auto& edges : out_) {
-    for (const auto& [to, r] : edges) in[static_cast<std::size_t>(to)] += r;
-  }
+  const std::vector<double> in = in_rates();
   double worst = 0.0;
   for (int i = 1; i < num_nodes(); ++i) {
     worst = std::max(worst, std::abs(in[static_cast<std::size_t>(i)] - T));

@@ -27,6 +27,11 @@ class BroadcastScheme {
   /// non-finite delta, throws. Tolerances are scale-free.
   void add(int from, int to, double delta);
 
+  /// add(from, to, delta) then add(from, to, -delta) in one lookup: the
+  /// same rounding residue, erasures and throws, without inserting an
+  /// absent edge only to erase it again.
+  void round_trip(int from, int to, double delta);
+
   /// Current rate of edge (from,to); 0 if absent.
   [[nodiscard]] double rate(int from, int to) const;
 
@@ -35,6 +40,9 @@ class BroadcastScheme {
 
   [[nodiscard]] double out_rate(int i) const;
   [[nodiscard]] double in_rate(int i) const;
+  /// Every node's inflow from one pass over the out-maps; entry i equals
+  /// in_rate(i) bit for bit (both sum in ascending sender order).
+  [[nodiscard]] std::vector<double> in_rates() const;
   [[nodiscard]] int out_degree(int i) const;
   [[nodiscard]] int in_degree(int i) const;
   [[nodiscard]] int max_out_degree() const;
@@ -62,6 +70,8 @@ class BroadcastScheme {
   static constexpr double kZeroTol = 1e-9;
 
  private:
+  void update(int from, int to, double delta, bool round_trip);
+
   std::vector<std::map<int, double>> out_;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -11,6 +13,54 @@
 #include "bmp/sim/churn.hpp"
 
 namespace bmp::engine {
+
+namespace {
+
+// The descendants of one root in a DAG, held as a stamp per node so that
+// re-rooting costs no clear. The set is cached until the root changes or
+// invalidate() is called.
+class Descendants {
+ public:
+  explicit Descendants(int num_nodes)
+      : mark_(static_cast<std::size_t>(num_nodes), 0) {}
+
+  /// Whether `v` is `root` or reachable from it in `scheme`.
+  bool reaches(const BroadcastScheme& scheme, int root, int v) {
+    if (root != root_) fill(scheme, root);
+    return mark_[static_cast<std::size_t>(v)] == stamp_;
+  }
+
+  void invalidate() { root_ = -1; }
+
+ private:
+  void fill(const BroadcastScheme& scheme, int root) {
+    if (++stamp_ == 0) {  // wrapped: a stale mark could equal the new stamp
+      std::fill(mark_.begin(), mark_.end(), 0);
+      stamp_ = 1;
+    }
+    root_ = root;
+    mark_[static_cast<std::size_t>(root)] = stamp_;
+    stack_.assign(1, root);
+    while (!stack_.empty()) {
+      const int v = stack_.back();
+      stack_.pop_back();
+      for (const auto& [to, rate] : scheme.out_edges(v)) {
+        (void)rate;
+        if (mark_[static_cast<std::size_t>(to)] != stamp_) {
+          mark_[static_cast<std::size_t>(to)] = stamp_;
+          stack_.push_back(to);
+        }
+      }
+    }
+  }
+
+  std::vector<std::uint32_t> mark_;
+  std::uint32_t stamp_ = 0;
+  int root_ = -1;
+  std::vector<int> stack_;
+};
+
+}  // namespace
 
 RepairResult repair_scheme(const Instance& survivors,
                            const BroadcastScheme& restricted,
@@ -30,14 +80,11 @@ RepairResult repair_scheme(const Instance& survivors,
     // any source/j cut, the topologically first node outside the cut has
     // all its in-edges crossing it, so min-cut(0 -> j) >= tau. The final
     // rate is re-verified by max-flow below either way.
+    std::vector<double> in = scheme.in_rates();
     std::vector<double> out(static_cast<std::size_t>(num_nodes), 0.0);
-    std::vector<double> in(static_cast<std::size_t>(num_nodes), 0.0);
     for (int i = 0; i < num_nodes; ++i) {
       out[static_cast<std::size_t>(i)] = scheme.out_rate(i);
-      in[static_cast<std::size_t>(i)] = scheme.in_rate(i);
     }
-    std::vector<char> blocked(static_cast<std::size_t>(num_nodes), 0);
-    std::vector<int> stack;
     // Conservative sender preference (the paper's Lemma 4.3 principle):
     // guarded upload cannot reach guarded receivers, so open receivers
     // drain guarded senders first, keeping source + open upload for the
@@ -77,16 +124,28 @@ RepairResult repair_scheme(const Instance& survivors,
     // cut the *smallest* edges first: the receiver's main arteries survive
     // repeated repairs untouched (a live stream keeps its in-flight pipes)
     // and residue trickle edges are garbage-collected before real ones.
+    // The over-fed receivers' feeders are listed in one pass, in ascending
+    // sender order: trimming a receiver touches only edges into it, so the
+    // listed rates are the ones it finds.
+    std::vector<std::vector<std::pair<int, double>>> feeders(
+        static_cast<std::size_t>(num_nodes));
+    for (int sender = 0; sender < num_nodes; ++sender) {
+      for (const auto& [to, rate] : scheme.out_edges(sender)) {
+        if (in[static_cast<std::size_t>(to)] - target_rate > tol) {
+          feeders[static_cast<std::size_t>(to)].emplace_back(sender, rate);
+        }
+      }
+    }
     std::vector<std::pair<double, int>> cuttable;
     for (int receiver = 1; receiver < num_nodes; ++receiver) {
       double excess = in[static_cast<std::size_t>(receiver)] - target_rate;
       if (excess <= tol) continue;
       for (int cls = 0; cls < 2 && excess > tol; ++cls) {
         cuttable.clear();
-        for (int sender = 0; sender < num_nodes; ++sender) {
+        for (const auto& [sender, rate] :
+             feeders[static_cast<std::size_t>(receiver)]) {
           const bool sender_guarded = survivors.is_guarded(sender);
           if ((cls == 0) == sender_guarded) continue;  // open first, then guarded
-          const double rate = scheme.rate(sender, receiver);
           if (rate > tol) cuttable.emplace_back(rate, sender);
         }
         std::sort(cuttable.begin(), cuttable.end());
@@ -100,33 +159,32 @@ RepairResult repair_scheme(const Instance& survivors,
         }
       }
     }
+    // Senders with residual upload, in sender_order order. No pass below
+    // frees upload, so a sender that saturates is dropped for good.
+    const auto spare_upload = [&](int sender) {
+      return survivors.b(sender) - out[static_cast<std::size_t>(sender)];
+    };
+    std::vector<int> spare;
+    for (const int sender : sender_order) {
+      if (spare_upload(sender) > tol) spare.push_back(sender);
+    }
+    // Senders reachable *from* the receiver would close a cycle. The
+    // descendant search runs only once a sender with spare upload asks.
+    Descendants from_receiver(num_nodes);
     for (const int receiver : receivers) {
       double deficit = target_rate - in[static_cast<std::size_t>(receiver)];
-      if (deficit <= tol) continue;
-      // Senders reachable *from* the receiver would close a cycle.
-      std::fill(blocked.begin(), blocked.end(), 0);
-      blocked[static_cast<std::size_t>(receiver)] = 1;
-      stack.assign(1, receiver);
-      while (!stack.empty()) {
-        const int v = stack.back();
-        stack.pop_back();
-        for (const auto& [to, rate] : scheme.out_edges(v)) {
-          (void)rate;
-          if (!blocked[static_cast<std::size_t>(to)]) {
-            blocked[static_cast<std::size_t>(to)] = 1;
-            stack.push_back(to);
-          }
+      for (std::size_t k = 0; k < spare.size() && deficit > tol;) {
+        const int sender = spare[k];
+        const double residual = spare_upload(sender);
+        if (residual <= tol) {
+          spare.erase(spare.begin() + static_cast<std::ptrdiff_t>(k));
+          continue;
         }
-      }
-      for (const int sender : sender_order) {
-        if (deficit <= tol) break;
-        if (blocked[static_cast<std::size_t>(sender)]) continue;
+        ++k;
         if (survivors.is_guarded(sender) && survivors.is_guarded(receiver)) {
           continue;
         }
-        const double residual =
-            survivors.b(sender) - out[static_cast<std::size_t>(sender)];
-        if (residual <= tol) continue;
+        if (from_receiver.reaches(scheme, receiver, sender)) continue;
         const double take = std::min(deficit, residual);
         scheme.add(sender, receiver, take);
         out[static_cast<std::size_t>(sender)] += take;
@@ -139,37 +197,70 @@ RepairResult repair_scheme(const Instance& survivors,
     // source/open upload may be fully committed to *open* receivers that
     // idle guarded upload could serve instead. Swap such an edge over
     // (guarded g takes the open receiver x, open sender s turns to the
-    // guarded receiver) — the conservative exchange of Lemma 4.3. Each
-    // swap is applied tentatively and reverted if it would close a cycle.
+    // guarded receiver r) — the conservative exchange of Lemma 4.3.
+    //
+    // Only guarded senders with spare upload can take part, so the pass
+    // walks those left in `spare` and drops each as it saturates.
+    //
+    // The overlay is a DAG and holds s→x, so adding g→x and s→r closes a
+    // cycle iff x reaches g or r reaches s (a cycle through both new edges
+    // would need a path x ⇝ s, a cycle with s→x). Both tests read the
+    // cached descendants of x and of r, which an accepted swap invalidates.
+    //
+    // A rejected swap still applies and reverts its rates, each edge's two
+    // steps in one round_trip(): (c − δ) + δ need not equal c in floating
+    // point, and repaired overlays stay bit-identical to the ones this pass
+    // always produced. The three edges are distinct, so the order of their
+    // round trips does not matter. A round trip may drop a pre-existing g→x
+    // or s→r whose rate rounds away, but the cached sets stay exact: x
+    // reaches neither g nor s, r cannot reach s (s→r would close a cycle),
+    // and with g→x present the swap was rejected because r reaches s, so r
+    // still reaches x through s→x.
+    spare.erase(std::remove_if(spare.begin(), spare.end(),
+                               [&](int g) {
+                                 return !survivors.is_guarded(g) ||
+                                        spare_upload(g) <= tol;
+                               }),
+                spare.end());
+    Descendants from_x(num_nodes);
+    from_receiver.invalidate();
+    std::vector<std::pair<int, double>> edges;
     for (const int receiver : receivers) {
-      if (!survivors.is_guarded(receiver)) break;  // guardeds lead the list
+      // Guardeds lead the list; no spare guarded upload means no swap.
+      if (spare.empty() || !survivors.is_guarded(receiver)) break;
       double deficit = target_rate - in[static_cast<std::size_t>(receiver)];
       if (deficit <= tol) continue;
       for (const int s : sender_order) {
-        if (deficit <= tol) break;
+        if (deficit <= tol || spare.empty()) break;
         if (survivors.is_guarded(s)) continue;  // need an open/source sender
-        const std::vector<std::pair<int, double>> edges(
-            scheme.out_edges(s).begin(), scheme.out_edges(s).end());
+        edges.assign(scheme.out_edges(s).begin(), scheme.out_edges(s).end());
         for (const auto& [x, rate_sx] : edges) {
           if (deficit <= tol) break;
           if (x == receiver || survivors.is_guarded(x)) continue;
           double movable = std::min(deficit, rate_sx);
-          for (const int g : sender_order) {
-            if (movable <= tol || deficit <= tol) break;
-            if (!survivors.is_guarded(g) || g == x) continue;
-            const double residual_g =
-                survivors.b(g) - out[static_cast<std::size_t>(g)];
-            if (residual_g <= tol) continue;
+          for (std::size_t k = 0;
+               k < spare.size() && movable > tol && deficit > tol;) {
+            const int g = spare[k];
+            const double residual_g = spare_upload(g);
+            if (residual_g <= tol) {
+              spare.erase(spare.begin() + static_cast<std::ptrdiff_t>(k));
+              continue;
+            }
+            ++k;
+            const bool cycle = from_x.reaches(scheme, x, g) ||
+                               from_receiver.reaches(scheme, receiver, s);
             const double delta = std::min(movable, residual_g);
+            if (cycle) {
+              scheme.round_trip(g, x, delta);
+              scheme.round_trip(s, x, -delta);
+              scheme.round_trip(s, receiver, delta);
+              continue;
+            }
             scheme.add(g, x, delta);
             scheme.add(s, x, -delta);
             scheme.add(s, receiver, delta);
-            if (!scheme.is_acyclic()) {
-              scheme.add(s, receiver, -delta);
-              scheme.add(s, x, delta);
-              scheme.add(g, x, -delta);
-              continue;
-            }
+            from_x.invalidate();
+            from_receiver.invalidate();
             out[static_cast<std::size_t>(g)] += delta;
             in[static_cast<std::size_t>(receiver)] += delta;
             result.added_rate += delta;

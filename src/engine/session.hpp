@@ -28,10 +28,12 @@ struct RepairResult {
   double added_rate = 0.0;  ///< total edge rate the patch added
 };
 
-/// Incremental repair of a restricted overlay: processes survivors in
-/// topological order and pulls each node's inflow deficit (w.r.t.
-/// `target_rate`) from already fully-fed earlier nodes with residual
-/// upload, honoring bandwidth caps and the firewall constraint. Node k of
+/// Incremental repair of a restricted overlay toward `target_rate`: drops
+/// dust edges, trims over-fed survivors down to the target, pulls each
+/// node's inflow deficit from senders with residual upload that keep the
+/// overlay a DAG, then reroutes open upload to unfilled guarded receivers
+/// (the conservative exchange of Lemma 4.3), honoring bandwidth caps and
+/// the firewall constraint. Node k of
 /// `restricted` must be node k of `survivors` (the numbering produced by
 /// sim::remove_nodes + sim::restrict_scheme). Cyclic overlays are returned
 /// unpatched (their throughput is still measured). The final throughput

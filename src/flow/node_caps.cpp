@@ -13,8 +13,9 @@ std::vector<std::string> validate_download_caps(
     throw std::invalid_argument("validate_download_caps: size mismatch");
   }
   std::vector<std::string> issues;
+  const std::vector<double> in_rates = scheme.in_rates();
   for (int v = 1; v < scheme.num_nodes(); ++v) {
-    const double in = scheme.in_rate(v);
+    const double in = in_rates[static_cast<std::size_t>(v)];
     if (in > download_cap[static_cast<std::size_t>(v)] + tol) {
       std::ostringstream os;
       os << "download cap violated at node " << v << ": receives " << in
@@ -74,8 +75,9 @@ double minimal_uniform_download_cap(const BroadcastScheme& scheme, double T,
   if (T <= 0.0) return 0.0;
   double lo = 0.0;
   double hi = 0.0;
+  const std::vector<double> in_rates = scheme.in_rates();
   for (int v = 1; v < scheme.num_nodes(); ++v) {
-    hi = std::max(hi, scheme.in_rate(v));
+    hi = std::max(hi, in_rates[static_cast<std::size_t>(v)]);
   }
   if (hi <= 0.0) return 0.0;
   // One probe for all 50 bisection iterations: only the N internal-edge

@@ -3,7 +3,10 @@
 // topology queries, validation and DOT export.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "bmp/core/scheme.hpp"
 #include "test_helpers.hpp"
@@ -123,6 +126,69 @@ TEST(Scheme, InflowDeviation) {
   s.add(0, 2, 1.5);
   EXPECT_DOUBLE_EQ(s.max_inflow_deviation(2.0), 0.5);
   EXPECT_DOUBLE_EQ(s.max_inflow_deviation(1.75), 0.25);
+}
+
+TEST(Scheme, InRatesMatchInRateBitForBit) {
+  util::Xoshiro256 rng(5);
+  for (int rep = 0; rep < 50; ++rep) {
+    const int n = 2 + static_cast<int>(rng.below(60));
+    BroadcastScheme s(n);
+    const int edges = static_cast<int>(rng.below(static_cast<std::size_t>(4 * n)));
+    for (int e = 0; e < edges; ++e) {
+      const int from = static_cast<int>(rng.below(static_cast<std::size_t>(n)));
+      const int to = static_cast<int>(rng.below(static_cast<std::size_t>(n)));
+      if (from != to) s.add(from, to, rng.uniform(1e-3, 100.0));
+    }
+    const std::vector<double> in = s.in_rates();
+    ASSERT_EQ(in.size(), static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      const double want = s.in_rate(i);
+      EXPECT_EQ(std::memcmp(&in[static_cast<std::size_t>(i)], &want, sizeof want), 0)
+          << "node " << i;
+    }
+  }
+}
+
+TEST(Scheme, RoundTripMatchesAddThenSubtractBitForBit) {
+  util::Xoshiro256 rng(9);
+  int residues = 0;
+  for (int rep = 0; rep < 4000; ++rep) {
+    const double size = rng.uniform(1e-3, 10.0);
+    double delta = rng.below(2) != 0 ? size : -size;
+    BroadcastScheme added(3);
+    switch (rep % 4) {
+      case 0: break;                                   // absent edge
+      case 1: added.add(0, 1, size * 1e-13); break;    // rounds away
+      case 2: added.add(0, 1, rng.uniform(1e-3, 10.0)); break;
+      default:                                         // erased mid-trip
+        added.add(0, 1, size);
+        delta = -size;
+        break;
+    }
+    const double before = added.rate(0, 1);
+    BroadcastScheme tripped = added;
+    bool added_threw = false;
+    bool tripped_threw = false;
+    try {
+      added.add(0, 1, delta);
+      added.add(0, 1, -delta);
+    } catch (const std::invalid_argument&) {
+      added_threw = true;
+    }
+    try {
+      tripped.round_trip(0, 1, delta);
+    } catch (const std::invalid_argument&) {
+      tripped_threw = true;
+    }
+    ASSERT_EQ(tripped_threw, added_threw) << "rep " << rep;
+    if (added_threw) continue;
+    ASSERT_EQ(tripped.out_degree(0), added.out_degree(0)) << "rep " << rep;
+    const double want = added.rate(0, 1);
+    const double got = tripped.rate(0, 1);
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof want), 0) << "rep " << rep;
+    residues += want != before ? 1 : 0;
+  }
+  EXPECT_GT(residues, 0);  // the round trip really is not the identity
 }
 
 TEST(Scheme, DotExportContainsEdges) {
