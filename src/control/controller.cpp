@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -51,7 +50,62 @@ constexpr double kMinExpectedChunks = 4.0;
 /// happened in the dark.
 constexpr int kStaleTtl = 6;
 
+/// Rejects inputs that break the TickInputs contract (telemetry.hpp), in
+/// O(n + m): the per-tick scratch is indexed by node id, where a negative
+/// one would write out of bounds, and states are resolved by merges that
+/// need strictly ascending keys.
+void check_inputs(const TickInputs& inputs) {
+  const std::vector<NodeSample>& nodes = inputs.nodes;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i].id < 0) {
+      throw std::invalid_argument("Controller::tick: negative node id");
+    }
+    if (i > 0 && nodes[i - 1].id >= nodes[i].id) {
+      throw std::invalid_argument(
+          "Controller::tick: nodes not strictly ascending by id");
+    }
+  }
+  const std::vector<EdgeSample>& edges = inputs.edges;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (edges[i].from < 0 || edges[i].to < 0) {
+      throw std::invalid_argument("Controller::tick: negative edge id");
+    }
+    if (i > 0 && std::make_pair(edges[i - 1].from, edges[i - 1].to) >=
+                     std::make_pair(edges[i].from, edges[i].to)) {
+      throw std::invalid_argument(
+          "Controller::tick: edges not strictly ascending by (from, to)");
+    }
+  }
+}
+
 }  // namespace
+
+template <typename Key, typename State>
+void Controller::StateTable<Key, State>::resolve(const std::vector<Key>& keys,
+                                                 const State& fresh,
+                                                 std::vector<State*>& out) {
+  std::vector<std::size_t> slots;
+  slots.reserve(keys.size());
+  const std::size_t known = index.size();
+  std::size_t at = 0;
+  for (const Key& key : keys) {
+    while (at < known && index[at].first < key) ++at;
+    if (at < known && index[at].first == key) {
+      slots.push_back(index[at].second);
+      continue;
+    }
+    slots.push_back(states.size());
+    index.emplace_back(key, states.size());
+    states.push_back(fresh);
+  }
+  // The new keys were appended in ascending order: one merge re-sorts.
+  std::inplace_merge(index.begin(),
+                     index.begin() + static_cast<std::ptrdiff_t>(known),
+                     index.end());
+  out.clear();
+  out.reserve(slots.size());
+  for (const std::size_t slot : slots) out.push_back(&states[slot]);
+}
 
 void check_config(const ControllerConfig& config) {
   if (!(config.sample_interval > 0.0) || !std::isfinite(config.sample_interval)) {
@@ -79,9 +133,8 @@ double Controller::quantize(double value) const {
 }
 
 void Controller::forgive(int id) {
-  const auto it = nodes_.find(id);
-  if (it != nodes_.end()) {
-    NodeState& node = it->second;
+  if (NodeState* found = nodes_.find(id)) {
+    NodeState& node = *found;
     if (node.factor < 1.0 && node.pardon_from < 0.0) {
       node.pardon_from = node.factor;
     }
@@ -97,8 +150,9 @@ void Controller::forgive(int id) {
     // prev_delivered stays: the raw counter is still monotone, wiping it
     // would turn the whole stream history into one giant first delta.
   }
-  for (auto& [key, edge] : edges_) {
+  for (const auto& [key, slot] : edges_.index) {
     if (key.first != id && key.second != id) continue;
+    EdgeState& edge = edges_.states[slot];
     edge.health = HysteresisDetector(kEdge);
     edge.goodput = Ewma();
     edge.loss = Ewma();
@@ -110,15 +164,15 @@ void Controller::forgive(int id) {
 }
 
 double Controller::factor(int id) const {
-  const auto it = nodes_.find(id);
-  return it == nodes_.end() ? 1.0 : it->second.factor;
+  const NodeState* node = nodes_.find(id);
+  return node == nullptr ? 1.0 : node->factor;
 }
 
 NodeHealth Controller::node_health(int id) const {
   NodeHealth health;
-  const auto it = nodes_.find(id);
-  if (it == nodes_.end()) return health;
-  const NodeState& node = it->second;
+  const NodeState* found = nodes_.find(id);
+  if (found == nullptr) return health;
+  const NodeState& node = *found;
   health.known = true;
   health.factor = node.factor;
   health.egress_ewma = node.egress.value();
@@ -133,8 +187,48 @@ NodeHealth Controller::node_health(int id) const {
 }
 
 Directive Controller::tick(const TickInputs& inputs) {
+  check_inputs(inputs);
   ++ticks_;
   Directive out;
+  const std::size_t n = inputs.nodes.size();
+
+  // ---- resolve every input's state once ---------------------------------
+  // All per-tick scratch below is indexed by input position; node_at[i] is
+  // the state of inputs.nodes[i].
+  std::vector<NodeState*> node_at;
+  {
+    std::vector<int> ids;
+    ids.reserve(n);
+    for (const NodeSample& sample : inputs.nodes) ids.push_back(sample.id);
+    NodeState fresh;
+    fresh.straggler = HysteresisDetector(kStraggler);
+    fresh.egress_health = HysteresisDetector(kEgress);
+    nodes_.resolve(ids, fresh, node_at);
+  }
+  std::vector<EdgeState*> edge_at;
+  {
+    std::vector<std::pair<int, int>> keys;
+    keys.reserve(inputs.edges.size());
+    for (const EdgeSample& sample : inputs.edges) {
+      keys.emplace_back(sample.from, sample.to);
+    }
+    EdgeState fresh;
+    fresh.health = HysteresisDetector(kEdge);
+    edges_.resolve(keys, fresh, edge_at);
+  }
+  // Input position by node id (-1: no sample this tick). Ids index it
+  // directly, which is why check_inputs rejects negative ones.
+  std::vector<int> position_of(
+      n == 0 ? 0 : static_cast<std::size_t>(inputs.nodes.back().id) + 1, -1);
+  for (std::size_t i = 0; i < n; ++i) {
+    position_of[static_cast<std::size_t>(inputs.nodes[i].id)] =
+        static_cast<int>(i);
+  }
+  const auto position = [&position_of](int id) {
+    return static_cast<std::size_t>(id) < position_of.size()
+               ? position_of[static_cast<std::size_t>(id)]
+               : -1;
+  };
 
   // ---- ingest per-edge telemetry; aggregate goodput per sender ----------
   // Node-level egress health aggregates the raw deltas across *all* of a
@@ -149,7 +243,7 @@ Directive Controller::tick(const TickInputs& inputs) {
     std::uint64_t sent = 0;
     std::uint64_t lost = 0;
   };
-  std::map<int, SenderAcc> by_sender;
+  std::vector<SenderAcc> by_sender(n);
   // Stale-telemetry detection is node-centric: the collector substitutes a
   // whole node's sample set at once (its node counters plus every adjacent
   // edge), so an edge only counts as stale when one of its *endpoints* is a
@@ -160,6 +254,8 @@ Directive Controller::tick(const TickInputs& inputs) {
   struct EdgeWork {
     const EdgeSample* sample = nullptr;
     EdgeState* edge = nullptr;
+    int from = -1;  ///< input position of the sender (-1: not sampled)
+    int to = -1;    ///< input position of the receiver
     double busy_delta = 0.0;
     double completed_delta = 0.0;
     std::uint64_t sent_delta = 0;
@@ -167,17 +263,11 @@ Directive Controller::tick(const TickInputs& inputs) {
   };
   std::vector<EdgeWork> edge_work;
   edge_work.reserve(inputs.edges.size());
-  std::map<int, int> adjacent_edges;
-  std::map<int, int> frozen_edges;
-  for (const EdgeSample& sample : inputs.edges) {
-    const auto key = std::make_pair(sample.from, sample.to);
-    auto edge_it = edges_.find(key);
-    if (edge_it == edges_.end()) {
-      EdgeState fresh;
-      fresh.health = HysteresisDetector(kEdge);
-      edge_it = edges_.emplace(key, std::move(fresh)).first;
-    }
-    EdgeState& edge = edge_it->second;
+  std::vector<int> adjacent_edges(n, 0);
+  std::vector<int> frozen_edges(n, 0);
+  for (std::size_t e = 0; e < inputs.edges.size(); ++e) {
+    const EdgeSample& sample = inputs.edges[e];
+    EdgeState& edge = *edge_at[e];
     edge.tripped = false;
     double busy_delta = sample.busy_time - edge.prev_busy;
     double completed_delta = sample.completed - edge.prev_completed;
@@ -199,20 +289,21 @@ Directive Controller::tick(const TickInputs& inputs) {
     edge.prev_sent = sample.sent;
     edge.prev_lost = sample.lost;
     edge.prev_attempts = sample.attempts;
+    EdgeWork work;
+    work.sample = &sample;
+    work.edge = &edge;
+    work.from = position(sample.from);
+    work.to = position(sample.to);
     // Freeze signature: a live pipe's counters move nearly every window
     // (even an idle pipe is offered work, bumping attempts); sent AND
     // attempts standing still together is this edge's staleness vote for
     // its endpoints. The vote alone proves nothing — see the census below.
     const bool frozen = sent_delta == 0 && attempts_delta == 0;
-    ++adjacent_edges[sample.from];
-    ++adjacent_edges[sample.to];
-    if (frozen) {
-      ++frozen_edges[sample.from];
-      ++frozen_edges[sample.to];
+    for (const int pos : {work.from, work.to}) {
+      if (pos < 0) continue;
+      ++adjacent_edges[static_cast<std::size_t>(pos)];
+      if (frozen) ++frozen_edges[static_cast<std::size_t>(pos)];
     }
-    EdgeWork work;
-    work.sample = &sample;
-    work.edge = &edge;
     work.busy_delta = busy_delta;
     work.completed_delta = completed_delta;
     work.sent_delta = sent_delta;
@@ -225,32 +316,28 @@ Directive Controller::tick(const TickInputs& inputs) {
   // progress and every adjacent pipe frozen. "No data" is not "data says
   // zero" — dark windows update no estimator and trip no detector, so a
   // telemetry blackout cannot manufacture a brownout.
-  std::map<int, double> delivered_deltas;
-  std::set<int> dark;
-  for (const NodeSample& sample : inputs.nodes) {
-    auto node_it = nodes_.find(sample.id);
-    if (node_it == nodes_.end()) {
-      NodeState fresh;
-      fresh.straggler = HysteresisDetector(kStraggler);
-      fresh.egress_health = HysteresisDetector(kEgress);
-      node_it = nodes_.emplace(sample.id, std::move(fresh)).first;
-    }
-    NodeState& node = node_it->second;
+  std::vector<double> delivered_deltas(n, 0.0);
+  std::vector<char> dark(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeSample& sample = inputs.nodes[i];
+    NodeState& node = *node_at[i];
     double delivered_delta = sample.delivered - node.prev_delivered;
     if (delivered_delta < 0.0) delivered_delta = sample.delivered;
     node.prev_delivered = sample.delivered;
-    delivered_deltas.emplace(sample.id, delivered_delta);
-    const auto adj_it = adjacent_edges.find(sample.id);
-    if (adj_it != adjacent_edges.end() && delivered_delta <= 0.0 &&
-        frozen_edges[sample.id] == adj_it->second) {
-      dark.insert(sample.id);
+    delivered_deltas[i] = delivered_delta;
+    if (adjacent_edges[i] > 0 && delivered_delta <= 0.0 &&
+        frozen_edges[i] == adjacent_edges[i]) {
+      dark[i] = 1;
     }
   }
+  const auto is_dark = [&dark](int pos) {
+    return pos >= 0 && dark[static_cast<std::size_t>(pos)] != 0;
+  };
 
   for (const EdgeWork& work : edge_work) {
     const EdgeSample& sample = *work.sample;
     EdgeState& edge = *work.edge;
-    if (dark.count(sample.from) != 0 || dark.count(sample.to) != 0) {
+    if (is_dark(work.from) || is_dark(work.to)) {
       ++edge.stale_windows;
       ++out.stale_edges;
       if (edge.health.degraded()) ++out.degraded_edges;
@@ -264,13 +351,15 @@ Directive Controller::tick(const TickInputs& inputs) {
     }
     edge.stale_windows = 0;
     if (sample.rate > 0.0 && inputs.window > 0.0) {
-      SenderAcc& acc = by_sender[sample.from];
-      acc.completed += work.completed_delta;
-      acc.busy += work.busy_delta;
-      acc.busy_rate += work.busy_delta * sample.rate;
-      acc.planned += sample.rate;
-      acc.sent += work.sent_delta;
-      acc.lost += work.lost_delta;
+      if (work.from >= 0) {
+        SenderAcc& acc = by_sender[static_cast<std::size_t>(work.from)];
+        acc.completed += work.completed_delta;
+        acc.busy += work.busy_delta;
+        acc.busy_rate += work.busy_delta * sample.rate;
+        acc.planned += sample.rate;
+        acc.sent += work.sent_delta;
+        acc.lost += work.lost_delta;
+      }
       // The per-edge detector (reroute trigger): service is judged from a
       // couple of sends (each transmission's duration is individually
       // informative); the loss EWMA only moves on well-sampled windows.
@@ -297,13 +386,14 @@ Directive Controller::tick(const TickInputs& inputs) {
   }
 
   // ---- ingest per-node telemetry ----------------------------------------
-  std::vector<std::pair<int, double>> judged;  // (id, raw window ratio)
-  for (const NodeSample& sample : inputs.nodes) {
-    NodeState& node = nodes_.find(sample.id)->second;
+  std::vector<std::pair<NodeState*, double>> judged;  // raw window ratio
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeSample& sample = inputs.nodes[i];
+    NodeState& node = *node_at[i];
     node.egress_tripped = false;
     node.straggler_tripped = false;
-    const double delivered_delta = delivered_deltas[sample.id];
-    if (dark.count(sample.id) != 0) {
+    const double delivered_delta = delivered_deltas[i];
+    if (dark[i] != 0) {
       ++node.stale_windows;
       ++out.stale_nodes;
       continue;  // the stragglers census below still sees the node
@@ -315,9 +405,8 @@ Directive Controller::tick(const TickInputs& inputs) {
       node.sustained = Ewma();
     }
     node.stale_windows = 0;
-    const auto acc_it = by_sender.find(sample.id);
-    if (acc_it != by_sender.end() && acc_it->second.busy_rate > 0.0) {
-      const SenderAcc& acc = acc_it->second;
+    const SenderAcc& acc = by_sender[i];
+    if (acc.busy_rate > 0.0) {
       if (acc.sent >= kMinEdgeSends) {
         node.loss.observe(static_cast<double>(acc.lost) /
                               static_cast<double>(acc.sent),
@@ -349,7 +438,7 @@ Directive Controller::tick(const TickInputs& inputs) {
     if (sample.judgeable && inputs.window > 0.0 &&
         inputs.expected_delta >=
             kMinExpectedChunks * inputs.chunk_size) {
-      judged.emplace_back(sample.id, delivered_delta / inputs.expected_delta);
+      judged.emplace_back(&node, delivered_delta / inputs.expected_delta);
     }
   }
   // Cohort-relative straggling: normalize each node's window ratio by the
@@ -358,32 +447,32 @@ Directive Controller::tick(const TickInputs& inputs) {
   if (!judged.empty()) {
     std::vector<double> ratios;
     ratios.reserve(judged.size());
-    for (const auto& [id, ratio] : judged) ratios.push_back(ratio);
+    for (const auto& [node, ratio] : judged) ratios.push_back(ratio);
     std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
                      ratios.end());
     const double median = std::max(ratios[ratios.size() / 2], 1e-9);
-    for (const auto& [id, ratio] : judged) {
-      NodeState& node = nodes_.find(id)->second;
+    for (const auto& [node, ratio] : judged) {
       // Catch-up bursts are capped: being twice ahead this window must
       // not bank credit against falling behind later.
       const double normalized = std::min(ratio / median, 2.0);
-      node.last_sustained_raw = normalized;
-      node.sustained.observe(normalized, config_.ewma_alpha);
-      if (node.straggler.update(node.sustained.value()) &&
-          node.straggler.degraded()) {
-        node.straggler_tripped = true;
+      node->last_sustained_raw = normalized;
+      node->sustained.observe(normalized, config_.ewma_alpha);
+      if (node->straggler.update(node->sustained.value()) &&
+          node->straggler.degraded()) {
+        node->straggler_tripped = true;
         ++out.straggler_trips;
       }
     }
   }
-  for (const NodeSample& sample : inputs.nodes) {
-    if (nodes_.find(sample.id)->second.straggler.degraded()) ++out.stragglers;
+  for (const NodeState* node : node_at) {
+    if (node->straggler.degraded()) ++out.stragglers;
   }
 
   // ---- decide: demotions and restores (ascending node id) ---------------
   const double step = 1.0 / static_cast<double>(kCapacityClasses);
-  for (const NodeSample& sample : inputs.nodes) {
-    NodeState& node = nodes_.find(sample.id)->second;
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeSample& sample = inputs.nodes[i];
+    NodeState& node = *node_at[i];
     if (node.pardon_from >= 0.0) {
       // A forgive() pardon outranks everything else this window: lift the
       // demotion in one step (the probes' doubling climb is for *suspected*
@@ -504,13 +593,16 @@ Directive Controller::tick(const TickInputs& inputs) {
   }
 
   // ---- decide: reroutes around degraded edges ---------------------------
-  for (const EdgeSample& sample : inputs.edges) {
-    EdgeState& edge =
-        edges_.find(std::make_pair(sample.from, sample.to))->second;
+  for (const EdgeWork& work : edge_work) {
+    const EdgeSample& sample = *work.sample;
+    EdgeState& edge = *work.edge;
     if (edge.stale_windows > 0) continue;  // no clamps from frozen windows
     if (!edge.health.degraded()) continue;
     // A demoted sender is already being routed around as a whole.
-    if (factor(sample.from) < 1.0) continue;
+    const double sender_factor =
+        work.from >= 0 ? node_at[static_cast<std::size_t>(work.from)]->factor
+                       : factor(sample.from);
+    if (sender_factor < 1.0) continue;
     if (inputs.now - edge.last_action < config_.action_cooldown) continue;
     const double limit =
         sample.rate * std::clamp(edge.goodput.value(), 0.02, 1.0);
@@ -541,9 +633,10 @@ Directive Controller::tick(const TickInputs& inputs) {
   if (out.act) {
     double granted_total = 0.0;
     double delta = 0.0;
-    for (const NodeSample& sample : inputs.nodes) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const NodeSample& sample = inputs.nodes[i];
       granted_total += sample.granted;
-      delta += std::abs(sample.nominal * factor(sample.id) - sample.granted);
+      delta += std::abs(sample.nominal * node_at[i]->factor - sample.granted);
     }
     out.drift = granted_total > 0.0 ? delta / granted_total : 0.0;
     out.force_replan = out.drift > kReplanDrift;

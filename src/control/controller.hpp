@@ -20,11 +20,15 @@
 //   * a demoted node whose detectors recover is *restored* (its class
 //     raised back to the telemetry estimate), on a longer cooldown.
 //
-// Every decision is a pure function of the sample stream: ordered maps,
-// no clocks, no randomness — identical inputs give identical directives on
-// any thread count, which the determinism tests replay to the byte.
+// Every decision is a pure function of the sample stream: key-sorted
+// tables, no clocks, no randomness — identical inputs give identical
+// directives on any thread count, which the determinism tests replay to
+// the byte.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -145,8 +149,11 @@ class Controller {
   explicit Controller(ControllerConfig config = {});
 
   /// One sampling boundary: ingest cumulative telemetry, update detectors,
-  /// decide. Inputs must be ordered (ascending id / (from, to)) and `now`
-  /// strictly increasing across calls.
+  /// decide. `now` must increase strictly across calls. Throws
+  /// std::invalid_argument, before changing any state, on inputs that
+  /// break the TickInputs contract (telemetry.hpp): a negative id, nodes
+  /// not strictly ascending by id, edges not strictly ascending by
+  /// (from, to).
   Directive tick(const TickInputs& inputs);
 
   [[nodiscard]] const ControllerConfig& config() const { return config_; }
@@ -211,11 +218,39 @@ class Controller {
     int stale_windows = 0;  ///< consecutive frozen windows on this pipe
   };
 
+  /// Controller state per node id or per (from, to), created on first
+  /// sight and kept for the controller's life: a pipe spliced out and back
+  /// in resumes its estimator. States sit in creation order, so their
+  /// indices are stable; `index` maps keys to them in ascending key order.
+  template <typename Key, typename State>
+  struct StateTable {
+    std::vector<State> states;
+    std::vector<std::pair<Key, std::size_t>> index;
+
+    /// The state of `key`; nullptr when it was never seen.
+    [[nodiscard]] const State* find(const Key& key) const {
+      const auto it = std::lower_bound(
+          index.begin(), index.end(), key,
+          [](const std::pair<Key, std::size_t>& entry, const Key& k) {
+            return entry.first < k;
+          });
+      return it != index.end() && it->first == key ? &states[it->second]
+                                                   : nullptr;
+    }
+    State* find(const Key& key) {
+      return const_cast<State*>(std::as_const(*this).find(key));
+    }
+    /// Points `out[i]` at the state of `keys[i]` (strictly ascending),
+    /// creating the missing ones as copies of `fresh`: one merge.
+    void resolve(const std::vector<Key>& keys, const State& fresh,
+                 std::vector<State*>& out);
+  };
+
   [[nodiscard]] double quantize(double value) const;
 
   ControllerConfig config_;
-  std::map<int, NodeState> nodes_;
-  std::map<std::pair<int, int>, EdgeState> edges_;
+  StateTable<int, NodeState> nodes_;
+  StateTable<std::pair<int, int>, EdgeState> edges_;
   int ticks_ = 0;
 };
 

@@ -6,7 +6,8 @@
 // clock); the controller differences them across windows internally, so a
 // host never has to keep per-edge bookkeeping of its own. All ids are the
 // caller's stable node ids (the runtime uses its population ids) — they
-// must survive re-plans, which re-sort planning slots.
+// must survive re-plans, which re-sort planning slots. Ids are >= 0 and
+// should be dense: the controller's per-tick scratch is indexed by id.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +69,11 @@ struct TickInputs {
   /// integral of the stream's emission rate over the window.
   double expected_delta = 0.0;
   double chunk_size = 1.0;      ///< the stream's chunk granularity
-  std::vector<NodeSample> nodes;  ///< ascending id (determinism)
-  std::vector<EdgeSample> edges;  ///< ascending (from, to)
+  /// Strictly ascending id (determinism); Controller::tick throws
+  /// std::invalid_argument otherwise, and on a negative id.
+  std::vector<NodeSample> nodes;
+  /// Strictly ascending (from, to), both >= 0; checked likewise.
+  std::vector<EdgeSample> edges;
 };
 
 }  // namespace bmp::control

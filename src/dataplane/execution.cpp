@@ -359,29 +359,39 @@ void Execution::set_node_budget(int id, double budget) {
   node_at(id, "Execution::set_node_budget").budget = budget;
 }
 
+int Execution::pipe_slot(int from, int to) const {
+  if (from < 0 || from >= static_cast<int>(nodes_.size())) return -1;
+  const std::vector<int>& out = nodes_[static_cast<std::size_t>(from)].out;
+  const auto it = std::lower_bound(
+      out.begin(), out.end(), to, [this](int slot, int receiver) {
+        return pipes_[static_cast<std::size_t>(slot)].to < receiver;
+      });
+  return it != out.end() && pipes_[static_cast<std::size_t>(*it)].to == to
+             ? *it
+             : -1;
+}
+
 void Execution::set_edge(int from, int to, double rate) {
   if (from == to) {
     throw std::invalid_argument("Execution::set_edge: self-loop");
   }
-  const auto key = std::make_pair(from, to);
-  const auto it = pipe_of_.find(key);
+  const int existing = pipe_slot(from, to);
   if (rate <= kMinRate) {
-    if (it == pipe_of_.end()) return;
-    const int slot = it->second;
-    const int receiver = pipes_[static_cast<std::size_t>(slot)].to;
-    remove_pipe(slot);
+    if (existing < 0) return;
+    const int receiver = pipes_[static_cast<std::size_t>(existing)].to;
+    remove_pipe(existing);
     activate_receiver(receiver);
     return;
   }
   if (!std::isfinite(rate)) {
     throw std::invalid_argument("Execution::set_edge: rate must be finite");
   }
-  if (it != pipe_of_.end()) {
+  if (existing >= 0) {
     // Re-rate in place; an in-flight transmission keeps its old timing, the
     // next one uses the new rate — unless the new rate is sharply higher,
     // in which case the slow transmission is cancelled (reservations
     // released, chunks re-requested) and the pipe restarts immediately.
-    Pipe& pipe = pipes_[static_cast<std::size_t>(it->second)];
+    Pipe& pipe = pipes_[static_cast<std::size_t>(existing)];
     const bool restart =
         pipe.busy && rate > pipe.rate * kRerateRestartFactor;
     nodes_[static_cast<std::size_t>(pipe.from)].planned_out +=
@@ -397,7 +407,7 @@ void Execution::set_edge(int from, int to, double rate) {
       pipe.busy = false;
       pipe.pending_duration = 0.0;
       const int receiver = pipe.to;
-      try_send(it->second);
+      try_send(existing);
       // The released window slots may unblock other in-pipes too.
       activate_receiver(receiver);
     }
@@ -435,7 +445,6 @@ void Execution::set_edge(int from, int to, double rate) {
   // One independent, replay-stable loss stream per pipe creation: the
   // stream index is a deterministic function of the operation sequence.
   pipe.rng = util::Xoshiro256(config_.seed).fork(++pipe_streams_);
-  pipe_of_.emplace(key, slot);
   sender.planned_out += rate;
   sender.out.insert(
       std::upper_bound(sender.out.begin(), sender.out.end(), slot,
@@ -456,22 +465,55 @@ void Execution::set_edge(int from, int to, double rate) {
 
 void Execution::reconcile_edges(
     const std::vector<std::tuple<int, int, double>>& desired) {
-  std::map<std::pair<int, int>, double> want;
-  for (const auto& [from, to, rate] : desired) {
-    if (rate > kMinRate) want[std::make_pair(from, to)] = rate;
+  const auto key_less = [](const std::tuple<int, int, double>& a,
+                           const std::tuple<int, int, double>& b) {
+    return std::tie(std::get<0>(a), std::get<1>(a)) <
+           std::tie(std::get<0>(b), std::get<1>(b));
+  };
+  // The wanted pipes in ascending (from, to). A key listed twice keeps its
+  // last rate above kMinRate: stable order, then the last of each run.
+  std::vector<std::tuple<int, int, double>> want;
+  want.reserve(desired.size());
+  for (const auto& edge : desired) {
+    if (std::get<2>(edge) > kMinRate) want.push_back(edge);
   }
+  std::stable_sort(want.begin(), want.end(), key_less);
+  std::size_t kept = 0;
+  for (const auto& edge : want) {
+    if (kept > 0 && !key_less(want[kept - 1], edge)) --kept;
+    want[kept++] = edge;
+  }
+  want.resize(kept);
+  // One merge against the live pipes, which the receiver-sorted out lists
+  // enumerate in the same (from, to) order. `want` keeps only the new and
+  // re-rated pipes: set_edge at an unchanged rate adds 0.0 to planned_out
+  // and restarts nothing, so skipping it changes nothing.
   std::vector<int> doomed;
-  for (const auto& [key, slot] : pipe_of_) {
-    if (want.find(key) == want.end()) doomed.push_back(slot);
+  std::size_t next = 0;
+  std::size_t changed = 0;
+  for (int from = 0; from < static_cast<int>(nodes_.size()); ++from) {
+    for (const int slot : nodes_[static_cast<std::size_t>(from)].out) {
+      const Pipe& pipe = pipes_[static_cast<std::size_t>(slot)];
+      const std::tuple<int, int, double> live{from, pipe.to, pipe.rate};
+      while (next < want.size() && key_less(want[next], live)) {
+        want[changed++] = want[next++];
+      }
+      if (next < want.size() && !key_less(live, want[next])) {
+        if (std::get<2>(want[next]) != pipe.rate) want[changed++] = want[next];
+        ++next;
+      } else {
+        doomed.push_back(slot);
+      }
+    }
   }
+  while (next < want.size()) want[changed++] = want[next++];
+  want.resize(changed);
   std::vector<int> wake;
   for (const int slot : doomed) {
     wake.push_back(pipes_[static_cast<std::size_t>(slot)].to);
     remove_pipe(slot);
   }
-  for (const auto& [key, rate] : want) {
-    set_edge(key.first, key.second, rate);
-  }
+  for (const auto& [from, to, rate] : want) set_edge(from, to, rate);
   for (const int receiver : wake) {
     if (nodes_[static_cast<std::size_t>(receiver)].alive) {
       activate_receiver(receiver);
@@ -549,24 +591,27 @@ std::vector<EdgeStats> Execution::edge_stats() const {
 
 void Execution::edge_stats_into(std::vector<EdgeStats>& out) const {
   out.clear();
-  out.reserve(pipe_of_.size());
-  for (const auto& [key, slot] : pipe_of_) {
-    const Pipe& pipe = pipes_[static_cast<std::size_t>(slot)];
-    EdgeStats entry;
-    entry.from = key.first;
-    entry.to = key.second;
-    entry.rate = pipe.rate;
-    entry.busy_time = pipe.busy_time;
-    entry.completed = pipe.completed;
-    entry.sent = pipe.sent;
-    entry.delivered = pipe.delivered;
-    entry.lost = pipe.lost;
-    entry.busy = pipe.busy;
-    entry.pending_duration = pipe.busy ? pipe.pending_duration : 0.0;
-    entry.attempts = pipe.attempts;
-    entry.window_stalls = pipe.window_stalls;
-    entry.no_chunk = pipe.no_chunk;
-    out.push_back(entry);
+  out.reserve(pipes_.size() - free_pipes_.size());
+  // Out lists are sorted by receiver, so node order gives (from, to) order.
+  for (const Node& node : nodes_) {
+    for (const int slot : node.out) {
+      const Pipe& pipe = pipes_[static_cast<std::size_t>(slot)];
+      EdgeStats entry;
+      entry.from = pipe.from;
+      entry.to = pipe.to;
+      entry.rate = pipe.rate;
+      entry.busy_time = pipe.busy_time;
+      entry.completed = pipe.completed;
+      entry.sent = pipe.sent;
+      entry.delivered = pipe.delivered;
+      entry.lost = pipe.lost;
+      entry.busy = pipe.busy;
+      entry.pending_duration = pipe.busy ? pipe.pending_duration : 0.0;
+      entry.attempts = pipe.attempts;
+      entry.window_stalls = pipe.window_stalls;
+      entry.no_chunk = pipe.no_chunk;
+      out.push_back(entry);
+    }
   }
 }
 
@@ -601,7 +646,6 @@ void Execution::remove_pipe(int slot) {
   pipe.active = false;
   pipe.busy = false;
   nodes_[static_cast<std::size_t>(pipe.from)].planned_out -= pipe.rate;
-  pipe_of_.erase(std::make_pair(pipe.from, pipe.to));
   auto detach = [slot](std::vector<int>& list) {
     list.erase(std::remove(list.begin(), list.end(), slot), list.end());
   };
@@ -1156,13 +1200,16 @@ std::vector<std::string> Execution::validate(double tol) const {
   std::vector<double> planned(nodes_.size(), 0.0);
   std::vector<int> copies_toward(nodes_.size(), 0);
   std::map<std::pair<int, int>, int> copies;  // (receiver, chunk) -> count
-  for (const auto& [key, slot] : pipe_of_) {
-    const Pipe& pipe = pipes_[static_cast<std::size_t>(slot)];
-    if (pipe.busy) active[static_cast<std::size_t>(key.first)] += pipe.rate;
-    planned[static_cast<std::size_t>(key.first)] += pipe.rate;
-    for (const int chunk : pipe.in_flight) {
-      ++copies_toward[static_cast<std::size_t>(key.second)];
-      ++copies[std::make_pair(key.second, chunk)];
+  for (const Node& sender : nodes_) {
+    for (const int slot : sender.out) {
+      const Pipe& pipe = pipes_[static_cast<std::size_t>(slot)];
+      const auto from = static_cast<std::size_t>(pipe.from);
+      if (pipe.busy) active[from] += pipe.rate;
+      planned[from] += pipe.rate;
+      for (const int chunk : pipe.in_flight) {
+        ++copies_toward[static_cast<std::size_t>(pipe.to)];
+        ++copies[std::make_pair(pipe.to, chunk)];
+      }
     }
   }
   std::vector<std::string> violations;

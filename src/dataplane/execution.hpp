@@ -236,6 +236,10 @@ class Execution {
   /// pipes are added, absent ones removed, rates updated — in-flight
   /// transmissions on surviving pipes are untouched. This is how a repaired
   /// or rescaled overlay splices in without restarting the stream.
+  /// `desired` may be in any order; a key listed twice keeps its last rate
+  /// above the removal threshold. Removals run first in (from, to) order,
+  /// then additions and re-rates in (from, to) order; one sort of
+  /// `desired` plus one pass over the live pipes.
   void reconcile_edges(const std::vector<std::tuple<int, int, double>>& desired);
   /// Live emission-rate change (renegotiation). A no-op when unchanged;
   /// otherwise the next emission is rescheduled at the new cadence.
@@ -357,7 +361,9 @@ class Execution {
       double eta = 0.0;
     };
     std::map<int, Reservation> inflight;
-    std::vector<int> out;  ///< pipe slots, kept sorted by receiver id
+    /// Pipe slots, kept sorted by receiver id: the pipe index. Walking the
+    /// nodes in id order enumerates every live pipe in (from, to) order.
+    std::vector<int> out;
     std::vector<int> in;   ///< pipe slots, kept sorted by sender id
   };
   /// Lineage bookkeeping for one pending transmission (filled iff
@@ -435,6 +441,9 @@ class Execution {
   void activate_sender(int node_id);
   void activate_receiver(int node_id);
   void remove_pipe(int pipe_slot);
+  /// Slot of the live pipe from -> to (a search of from's out list); -1
+  /// when there is none.
+  [[nodiscard]] int pipe_slot(int from, int to) const;
   /// Drops one cancelled transmission's reservation + window slot on a
   /// live receiver so the chunk is re-requested elsewhere.
   void release_reservation(int receiver_id, int chunk);
@@ -458,8 +467,6 @@ class Execution {
   std::vector<Pipe> pipes_;
   std::vector<int> free_pipes_;
   std::uint64_t pipe_streams_ = 0;  ///< loss-stream index of the next pipe
-  /// (from, to) -> pipe slot; ordered so reconcile diffs deterministically.
-  std::map<std::pair<int, int>, int> pipe_of_;
 
   std::vector<double> emit_time_;  ///< per chunk, for latency measurement
   std::vector<int> replicas_;      ///< per chunk, alive holders (rarest-first)

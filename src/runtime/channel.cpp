@@ -26,16 +26,15 @@ constexpr const char* kChannelSeries[] = {
 /// windowed (not cumulative), so a healed partition recovers to ok.
 constexpr int kSloSustainedWindow = 4;
 
-/// Telemetry blackout guard: a dark collector hands the controller the
-/// last sample it actually observed, frozen — the exact signature its
-/// stale-telemetry guard refuses to judge — never fresh data it could not
-/// have collected. A live one refreshes the cache.
-template <typename Key, typename Sample>
-Sample through_blackout(std::map<Key, Sample>& cache, const Key& key,
-                        bool dark, const Sample& fresh) {
-  if (!dark) return cache[key] = fresh;
-  const auto cached = cache.find(key);
-  return cached != cache.end() ? cached->second : fresh;
+/// (from, to) packed into one integer that sorts like the pair (ids are
+/// non-negative runtime ids).
+std::uint64_t edge_key(int from, int to) {
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32 |
+         static_cast<std::uint32_t>(to);
+}
+
+bool edge_less(const control::EdgeSample& a, const control::EdgeSample& b) {
+  return edge_key(a.from, a.to) < edge_key(b.from, b.to);
 }
 
 }  // namespace
@@ -157,17 +156,17 @@ std::optional<ChurnReport> Channel::absorb(const std::set<int>& departed,
   // Departed peers carry no telemetry history forward: drop their
   // crash-silence counters and cached (blackout) samples.
   for (const int node : departed) {
-    silence_.erase(node);
-    last_node_sample_.erase(node);
+    const auto rid = static_cast<std::size_t>(node);
+    if (rid < silence_.size()) silence_[rid] = Silence{};
+    if (rid < last_node_sample_.size()) last_node_sample_[rid].reset();
   }
-  for (auto it = last_edge_sample_.begin(); it != last_edge_sample_.end();) {
-    if (departed.count(it->first.first) != 0 ||
-        departed.count(it->first.second) != 0) {
-      it = last_edge_sample_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  last_edge_sample_.erase(
+      std::remove_if(last_edge_sample_.begin(), last_edge_sample_.end(),
+                     [&departed](const control::EdgeSample& sample) {
+                       return departed.count(sample.from) != 0 ||
+                              departed.count(sample.to) != 0;
+                     }),
+      last_edge_sample_.end());
   // Translate runtime ids to this channel's session slots. Channels
   // opened after a joiner arrived include it; older ones may not.
   std::vector<int> slots;
@@ -269,8 +268,10 @@ void Channel::push_state(int dp, const Node& node) {
 }
 
 int Channel::dp_of(int rid) const {
-  const auto it = dp_of_node_.find(rid);
-  return execution_ && it != dp_of_node_.end() ? it->second : -1;
+  return execution_ && rid >= 0 &&
+                 rid < static_cast<int>(dp_of_rid_.size())
+             ? dp_of_rid_[static_cast<std::size_t>(rid)]
+             : -1;
 }
 
 void Channel::apply_node_state(int rid, const Node& node) {
@@ -292,37 +293,45 @@ void Channel::forgive(int rid) {
 
 void Channel::sync() {
   obs::ShardRegistry& m = host_.metrics;
-  m.set(series("fraction"), grant_.fraction);
-  m.set(series("design_rate"), session_->design_rate());
-  m.set(series("achieved_rate"), session_->current_rate());
+  if (!sync_gauges_) {
+    sync_gauges_ = SyncGauges{m.gauge_handle(series("fraction")),
+                              m.gauge_handle(series("design_rate")),
+                              m.gauge_handle(series("achieved_rate"))};
+  }
+  m.set(sync_gauges_->fraction, grant_.fraction);
+  m.set(sync_gauges_->design_rate, session_->design_rate());
+  m.set(sync_gauges_->achieved_rate, session_->current_rate());
   if (!execution_) return;
   dataplane::Execution& exec = *execution_;
   const Instance& instance = session_->instance();
-  // Nodes: the session's current platform, keyed by runtime node id.
-  const std::set<int> planned(node_of_slot_.begin(), node_of_slot_.end());
-  for (auto it = dp_of_node_.begin(); it != dp_of_node_.end();) {
-    if (planned.count(it->first) == 0) {
-      // Departed (or dropped from the overlay): in-flight chunks vanish,
-      // reservations release, survivors re-request elsewhere.
-      exec.remove_node(it->second);
-      expected_at_join_.erase(it->second);
-      it = dp_of_node_.erase(it);
-    } else {
-      ++it;
-    }
+  // Nodes: the session's current platform, indexed by runtime node id.
+  dp_of_rid_.resize(host_.nodes.size(), -1);
+  std::vector<char> planned(dp_of_rid_.size(), 0);
+  for (const int node : node_of_slot_) {
+    planned[static_cast<std::size_t>(node)] = 1;
   }
+  for (std::size_t rid = 0; rid < dp_of_rid_.size(); ++rid) {
+    int& dp = dp_of_rid_[rid];
+    if (dp < 0 || planned[rid] != 0) continue;
+    // Departed (or dropped from the overlay): in-flight chunks vanish,
+    // reservations release, survivors re-request elsewhere.
+    exec.remove_node(dp);
+    dp = -1;
+  }
+  std::vector<int> dp_of_slot(node_of_slot_.size());
   for (int slot = 0; slot < instance.size(); ++slot) {
     const int node = node_of_slot_[static_cast<std::size_t>(slot)];
-    const auto it = dp_of_node_.find(node);
-    int dp;
-    if (it == dp_of_node_.end()) {
+    int& dp = dp_of_rid_[static_cast<std::size_t>(node)];
+    const bool joined = dp < 0;
+    if (joined) {
       dp = exec.add_node(instance.b(slot));
-      dp_of_node_.emplace(node, dp);
       // A live-edge joiner is only on the hook for chunks emitted after it
       // arrived.
-      expected_at_join_.emplace(dp, design_integral_);
-    } else {
-      dp = it->second;
+      expected_at_join_.resize(static_cast<std::size_t>(dp) + 1);
+      expected_at_join_[static_cast<std::size_t>(dp)] = design_integral_;
+    }
+    dp_of_slot[static_cast<std::size_t>(slot)] = dp;
+    if (!joined) {
       // An abruptly crashed node stays in the session's platform until the
       // silence detector synthesizes its departure; until then its stream
       // slot is a corpse — nothing to budget or cap.
@@ -340,14 +349,12 @@ void Channel::sync() {
   std::vector<std::tuple<int, int, double>> desired;
   desired.reserve(static_cast<std::size_t>(scheme.edge_count()));
   for (int slot = 0; slot < scheme.num_nodes(); ++slot) {
-    const int from =
-        dp_of_node_.at(node_of_slot_[static_cast<std::size_t>(slot)]);
+    const int from = dp_of_slot[static_cast<std::size_t>(slot)];
     // Splice around crashed-but-undetected nodes: the plan still names
     // them, but their pipes stay down until detection repairs the overlay.
     if (!exec.node_alive(from)) continue;
     for (const auto& [to_slot, rate] : scheme.out_edges(slot)) {
-      const int to =
-          dp_of_node_.at(node_of_slot_[static_cast<std::size_t>(to_slot)]);
+      const int to = dp_of_slot[static_cast<std::size_t>(to_slot)];
       if (!exec.node_alive(to)) continue;
       desired.emplace_back(from, to, rate);
     }
@@ -375,8 +382,11 @@ void Channel::advance(double t, double dt) {
 
 void Channel::read_edges() {
   rid_of_dp_.assign(static_cast<std::size_t>(execution_->num_nodes()), -1);
-  for (const auto& [rid, dp] : dp_of_node_) {
-    rid_of_dp_[static_cast<std::size_t>(dp)] = rid;
+  for (std::size_t rid = 0; rid < dp_of_rid_.size(); ++rid) {
+    const int dp = dp_of_rid_[rid];
+    if (dp >= 0) {
+      rid_of_dp_[static_cast<std::size_t>(dp)] = static_cast<int>(rid);
+    }
   }
   execution_->edge_stats_into(edges_);
   // Re-key to runtime ids; pipes with an endpoint the channel no longer
@@ -394,10 +404,7 @@ void Channel::feed_edge_telemetry() {
   const std::string& prefix = host_.config.telemetry_node_prefix;
   obs::ShardRegistry& m = host_.metrics;
   for (const dataplane::EdgeStats& stats : edges_) {
-    auto& seen = seen_edge_telemetry_
-        [static_cast<std::uint64_t>(static_cast<std::uint32_t>(stats.from))
-             << 32 |
-         static_cast<std::uint32_t>(stats.to)];
+    auto& seen = seen_edge_telemetry_[edge_key(stats.from, stats.to)];
     // Pipes reset their counters when an overlay patch re-splices them; a
     // counter below its watermark restarts the delta from zero.
     const std::uint64_t lost_delta =
@@ -436,41 +443,77 @@ Channel::Tick Channel::tick(double t) {
   last_control_time_ = t;
   control_expected_ = 0.0;
 
-  // Per-node samples in ascending runtime-id order (dp_of_node_ is an
-  // ordered map); capacities come from the session's current slots.
+  // Per-node samples in ascending runtime-id order; capacities come from
+  // the session's current slots. Telemetry blackout guard: a dark
+  // collector hands the controller the last sample it actually observed,
+  // frozen — the exact signature its stale-telemetry guard refuses to
+  // judge — never fresh data it could not have collected. A live one
+  // refreshes the cache.
   const std::vector<double> caps = session_->capacities();
   std::vector<double> granted(nodes.size(), 0.0);
   for (std::size_t slot = 0; slot < caps.size(); ++slot) {
     granted[static_cast<std::size_t>(node_of_slot_[slot])] = caps[slot];
   }
-  for (const auto& [rid, dp] : dp_of_node_) {
-    const Node& info = nodes[static_cast<std::size_t>(rid)];
+  last_node_sample_.resize(nodes.size());
+  inputs.nodes.reserve(node_of_slot_.size());
+  for (std::size_t rid = 0; rid < dp_of_rid_.size(); ++rid) {
+    const int dp = dp_of_rid_[rid];
+    if (dp < 0) continue;
+    const Node& info = nodes[rid];
     const dataplane::NodeProgress progress = exec.progress(dp);
-    const control::NodeSample sample{
-        rid, info.bandwidth * grant_.fraction,
-        granted[static_cast<std::size_t>(rid)], exec.delivered(dp) * chunk,
+    control::NodeSample sample{
+        static_cast<int>(rid), info.bandwidth * grant_.fraction,
+        granted[rid], exec.delivered(dp) * chunk,
         dp != 0 && progress.alive &&
             progress.joined + control::kWarmupGrace <= t - inputs.window};
-    inputs.nodes.push_back(
-        through_blackout(last_node_sample_, rid, info.blackout, sample));
+    std::optional<control::NodeSample>& cached = last_node_sample_[rid];
+    if (!info.blackout) {
+      cached = sample;
+    } else if (cached) {
+      sample = *cached;
+    }
+    inputs.nodes.push_back(sample);
   }
-  // Per-edge samples, re-sorted by runtime ids so the controller's
-  // iteration order is stable.
-  for (const dataplane::EdgeStats& stats : edges_) {
-    const control::EdgeSample sample{
-        stats.from,      stats.to,   stats.rate, stats.busy_time,
-        stats.completed, stats.sent, stats.lost, stats.attempts};
-    inputs.edges.push_back(through_blackout(
-        last_edge_sample_, std::make_pair(stats.from, stats.to),
-        nodes[static_cast<std::size_t>(stats.from)].blackout ||
-            nodes[static_cast<std::size_t>(stats.to)].blackout,
-        sample));
+  // Per-edge samples sorted by runtime ids, so the controller's iteration
+  // order is stable: sort (key, row) pairs, then gather the rows.
+  edge_order_.clear();
+  for (std::size_t row = 0; row < edges_.size(); ++row) {
+    edge_order_.emplace_back(edge_key(edges_[row].from, edges_[row].to), row);
   }
-  std::sort(inputs.edges.begin(), inputs.edges.end(),
-            [](const control::EdgeSample& a, const control::EdgeSample& b) {
-              return std::make_pair(a.from, a.to) <
-                     std::make_pair(b.from, b.to);
-            });
+  std::sort(edge_order_.begin(), edge_order_.end());
+  inputs.edges.reserve(edges_.size());
+  for (const auto& [key, row] : edge_order_) {
+    const dataplane::EdgeStats& stats = edges_[row];
+    inputs.edges.push_back({stats.from, stats.to, stats.rate, stats.busy_time,
+                            stats.completed, stats.sent, stats.lost,
+                            stats.attempts});
+  }
+  // The same blackout guard per edge, in one merge against the sorted
+  // cache; rows for pipes first seen live this tick are merged in after.
+  edge_sample_scratch_.clear();
+  auto cached = last_edge_sample_.begin();
+  const auto cache_end = last_edge_sample_.end();
+  for (control::EdgeSample& sample : inputs.edges) {
+    while (cached != cache_end && edge_less(*cached, sample)) ++cached;
+    const bool hit = cached != cache_end && !edge_less(sample, *cached);
+    if (nodes[static_cast<std::size_t>(sample.from)].blackout ||
+        nodes[static_cast<std::size_t>(sample.to)].blackout) {
+      if (hit) sample = *cached;
+    } else if (hit) {
+      *cached = sample;
+    } else {
+      edge_sample_scratch_.push_back(sample);
+    }
+  }
+  if (!edge_sample_scratch_.empty()) {
+    const auto known = static_cast<std::ptrdiff_t>(last_edge_sample_.size());
+    last_edge_sample_.insert(last_edge_sample_.end(),
+                             edge_sample_scratch_.begin(),
+                             edge_sample_scratch_.end());
+    std::inplace_merge(last_edge_sample_.begin(),
+                       last_edge_sample_.begin() + known,
+                       last_edge_sample_.end(), edge_less);
+  }
 
   if (config.fault.detect_crashes && session_->current_rate() > 0.0) {
     // Crash detection. A crashed peer sends no leave event, but delivered
@@ -486,21 +529,22 @@ Channel::Tick Channel::tick(double t) {
       activity[static_cast<std::size_t>(stats.to)] +=
           stats.attempts + stats.sent;
     }
-    for (const auto& [rid, dp] : dp_of_node_) {
-      if (rid == node_of_slot_[0]) continue;
-      const Node& info = nodes[static_cast<std::size_t>(rid)];
+    silence_.resize(nodes.size());
+    for (std::size_t rid = 0; rid < dp_of_rid_.size(); ++rid) {
+      const int dp = dp_of_rid_[rid];
+      if (dp < 0 || static_cast<int>(rid) == node_of_slot_[0]) continue;
+      const Node& info = nodes[rid];
       // Correlated silence across a whole region is a partition signature,
       // not a crash — real failure detectors gate on quorum for exactly
       // this reason. Pause the counter until the heal.
       if (info.blackout || info.partition_group != 0) continue;
       const std::uint64_t observed =
-          activity[static_cast<std::size_t>(rid)] +
-          static_cast<std::uint64_t>(exec.delivered(dp));
-      const auto [it, fresh] = silence_.try_emplace(rid, Silence{observed});
-      if (fresh || it->second.activity != observed) {
-        it->second = {observed, 0};
-      } else if (++it->second.windows >= kCrashSilenceWindows) {
-        result.silent.push_back(rid);
+          activity[rid] + static_cast<std::uint64_t>(exec.delivered(dp));
+      Silence& silence = silence_[rid];
+      if (!silence.tracked || silence.activity != observed) {
+        silence = {observed, 0, true};
+      } else if (++silence.windows >= kCrashSilenceWindows) {
+        result.silent.push_back(static_cast<int>(rid));
       }
     }
   }
@@ -600,20 +644,25 @@ ControlReport Channel::adapt(const control::Directive& directive, double t) {
   // Effective caps per current slot: the broker-granted nominal scaled by
   // the controller's capacity-class factor.
   request.capacities.resize(node_of_slot_.size());
-  std::map<int, int> slot_of_node;
+  std::vector<int> slot_of_node(host_.nodes.size(), -1);
   for (std::size_t slot = 0; slot < node_of_slot_.size(); ++slot) {
     const int rid = node_of_slot_[slot];
-    slot_of_node[rid] = static_cast<int>(slot);
+    slot_of_node[static_cast<std::size_t>(rid)] = static_cast<int>(slot);
     const auto it = directive.factors.find(rid);
     request.capacities[slot] =
         host_.nodes[static_cast<std::size_t>(rid)].bandwidth *
         grant_.fraction * (it == directive.factors.end() ? 1.0 : it->second);
   }
+  const auto slot_of = [&slot_of_node](int rid) {
+    return rid >= 0 && rid < static_cast<int>(slot_of_node.size())
+               ? slot_of_node[static_cast<std::size_t>(rid)]
+               : -1;
+  };
   for (const auto& [from, to, limit] : directive.edge_limits) {
-    const auto from_it = slot_of_node.find(from);
-    const auto to_it = slot_of_node.find(to);
-    if (from_it == slot_of_node.end() || to_it == slot_of_node.end()) continue;
-    request.edge_limits.emplace_back(from_it->second, to_it->second, limit);
+    const int from_slot = slot_of(from);
+    const int to_slot = slot_of(to);
+    if (from_slot < 0 || to_slot < 0) continue;
+    request.edge_limits.emplace_back(from_slot, to_slot, limit);
   }
 
   const engine::ChurnOutcome outcome = session_->adapt(request);
@@ -755,10 +804,10 @@ StreamReport Channel::finalize(double now) {
                       executed.hol_stalls, executed.duplicates,
                       design_integral_, /*sustained_ratio=*/1.0,
                       executed.achieved_rate, max_verified_};
-  for (const auto& [node, dp] : dp_of_node_) {
-    (void)node;
-    if (dp == 0 || !exec.node_alive(dp)) continue;
-    const double expected = design_integral_ - expected_at_join_.at(dp);
+  for (const int dp : dp_of_rid_) {
+    if (dp <= 0 || !exec.node_alive(dp)) continue;
+    const double expected =
+        design_integral_ - expected_at_join_[static_cast<std::size_t>(dp)];
     if (expected < 1.0) continue;  // too young for a meaningful ratio
     report.sustained_ratio =
         std::min(report.sustained_ratio, exec.delivered(dp) / expected);
@@ -818,7 +867,7 @@ void Channel::validate(double tol, std::vector<double>& allocated,
   // Slot map <-> execution map consistency: every planned slot resolves to
   // exactly one live dataplane node.
   for (std::size_t slot = 0; slot < node_of_slot_.size(); ++slot) {
-    if (dp_of_node_.count(node_of_slot_[slot]) == 0) {
+    if (dp_of(node_of_slot_[slot]) < 0) {
       violations.push_back("channel " + std::to_string(id_) + " slot " +
                            std::to_string(slot) + " (node " +
                            std::to_string(node_of_slot_[slot]) +

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -128,6 +127,9 @@ struct HotMetrics {
   /// Per event type, registered on the type's first event.
   std::optional<obs::ShardRegistry::CounterHandle> events_by_type[8];
   obs::ShardRegistry::SketchHandle timing_event_loop;
+  /// Wall time of one control boundary (every channel's tick, adapt and
+  /// sync, plus crash detection); registered iff timing and control are on.
+  obs::ShardRegistry::SketchHandle timing_control_tick;
   obs::ShardRegistry::CounterHandle dp_delivered;
   obs::ShardRegistry::CounterHandle dp_losses;
   obs::ShardRegistry::CounterHandle dp_retransmits;
@@ -261,15 +263,26 @@ class Channel {
   const int id_;
   Grant grant_;
   std::unique_ptr<engine::Session> session_;
+  /// The gauges sync() publishes, interned by its first call (so they
+  /// appear when by-name writes would create them); erase_series() ends
+  /// them with the channel.
+  struct SyncGauges {
+    obs::ShardRegistry::GaugeHandle fraction;
+    obs::ShardRegistry::GaugeHandle design_rate;
+    obs::ShardRegistry::GaugeHandle achieved_rate;
+  };
+  std::optional<SyncGauges> sync_gauges_;
   /// Session slot (sorted instance id) -> runtime node id; slot 0 = source.
   std::vector<int> node_of_slot_;
   double stale_since_ = -1.0;
   // ---- execution mode ----
   std::unique_ptr<dataplane::Execution> execution_;
-  std::map<int, int> dp_of_node_;  ///< runtime node id -> execution node id
+  /// Runtime node id -> execution node id; -1 when not hosted. Walked in
+  /// ascending runtime id wherever order reaches an output.
+  std::vector<int> dp_of_rid_;
   /// Per execution node: channel design integral at its join (so a late
   /// joiner is only expected chunks emitted after it arrived).
-  std::map<int, double> expected_at_join_;
+  std::vector<double> expected_at_join_;
   double open_time_ = 0.0;
   double design_integral_ = 0.0;  ///< integral of design rate / chunk_size
   double max_verified_ = 0.0;     ///< peak verified rate over the life
@@ -295,16 +308,24 @@ class Channel {
   /// Crash-silence tracking per runtime node id: the last observed
   /// activity counter (delivered + adjacent attempts + sent) and how many
   /// consecutive control windows it stood still.
+  /// Indexed by runtime node id.
   struct Silence {
     std::uint64_t activity = 0;
     int windows = 0;
+    bool tracked = false;  ///< false until the node's first silence check
   };
-  std::map<int, Silence> silence_;
+  std::vector<Silence> silence_;
   /// Last telemetry actually observed per node/edge — substituted for
   /// blacked-out nodes, so a blackout freezes what the controller sees
   /// (the stale-telemetry guard's input) instead of leaking fresh data.
-  std::map<int, control::NodeSample> last_node_sample_;
-  std::map<std::pair<int, int>, control::EdgeSample> last_edge_sample_;
+  /// Nodes by runtime id; edges sorted by (from, to), one row per pipe
+  /// ever sampled (a re-spliced pipe finds its row again).
+  std::vector<std::optional<control::NodeSample>> last_node_sample_;
+  std::vector<control::EdgeSample> last_edge_sample_;
+  /// Per-tick scratch: edges_ rows in (from, to) order, and the cache rows
+  /// of pipes first seen this tick.
+  std::vector<std::pair<std::uint64_t, std::size_t>> edge_order_;
+  std::vector<control::EdgeSample> edge_sample_scratch_;
   /// Heavy-hitter delta tracking (telemetry hook): last (lost,
   /// window_stalls) seen per edge, keyed by packed runtime ids
   /// (from << 32 | to). Hash map: looked up only, never iterated, so

@@ -111,6 +111,9 @@ void Runtime::register_series() {
   m.set(hot_.population_alive, static_cast<double>(alive_peers_));
   if (config_.collect_timing) {
     hot_.timing_event_loop = m.sketch_handle("timing.event_loop_us");
+    if (config_.control.enabled) {
+      hot_.timing_control_tick = m.sketch_handle("timing.control_tick_us");
+    }
   }
   if (config_.dataplane.execute) {
     hot_.dp_delivered = m.counter_handle("dataplane.delivered");
@@ -679,6 +682,9 @@ void Runtime::advance_executions(double t) {
 }
 
 void Runtime::control_tick(double t) {
+  const auto start = config_.collect_timing
+                         ? std::chrono::steady_clock::now()
+                         : std::chrono::steady_clock::time_point{};
   // Everything downstream (session adapt spans, directive audit) is
   // stamped at this sampling boundary, not the triggering event's time.
   if (config_.trace != nullptr) config_.trace->set_clock(t);
@@ -691,6 +697,12 @@ void Runtime::control_tick(double t) {
     if (tick.control) control_log_.push_back(std::move(*tick.control));
   }
   if (!crash_candidates.empty()) detect_crashes(crash_candidates, t);
+  if (config_.collect_timing) {
+    metrics_.observe(hot_.timing_control_tick,
+                     std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+  }
 }
 
 void Runtime::detect_crashes(const std::set<int>& candidates, double t) {

@@ -124,7 +124,9 @@ struct RuntimeConfig : obs::Hooks {
   engine::PlannerConfig planner;  ///< shared cache / thread pool knobs
   engine::SessionConfig session;  ///< repair-vs-replan policy per channel
   double broker_headroom = 0.0;   ///< budget fraction withheld from channels
-  bool collect_timing = true;     ///< record timing.* event-loop latency
+  /// Record timing.* wall latencies: the event loop and, with control on,
+  /// each control boundary (timing.control_tick_us).
+  bool collect_timing = true;
   DataPlaneConfig dataplane;      ///< chunk-level execution mode
   ControlConfig control;          ///< telemetry-driven adaptation
   FaultToleranceConfig fault;     ///< reaction policy for injected faults

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "bmp/obs/trace.hpp"
 #include "bmp/runtime/runtime.hpp"
 #include "bmp/runtime/scenario.hpp"
+#include "bmp/util/rng.hpp"
 
 namespace bmp {
 namespace {
@@ -259,6 +262,299 @@ TEST(Controller, IdenticalInputsProduceIdenticalDirectives) {
     return log;
   };
   EXPECT_EQ(run(), run());
+}
+
+/// Appends `value` at full precision, so the digest moves whenever any
+/// logged double moves in its last bit.
+void put(std::string& out, double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g ", value);
+  out += buf;
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// Pins 320 seeded ticks of one controller over 40 nodes with sparse ids
+/// and a three-parent overlay: senders browned out and recovering,
+/// stragglers, lossy edges (reroutes), a telemetry blackout longer than
+/// the stale TTL (frozen counters), re-splices (counters falling), pipes
+/// that vanish and come back (their old estimator state is reused), a
+/// late joiner, a node whose samples drop out while its pipes stay, and
+/// forgive() pardons. The digest covers every Directive field and
+/// evidence record plus each node's final health, so a change in what the
+/// controller decides, or in what order, fails here. A deliberate
+/// behaviour change updates kDigest and says why in its commit.
+TEST(Controller, DirectiveSequenceIsPinned) {
+  control::Controller controller;
+  util::Xoshiro256 rng(77);
+  constexpr int kNodes = 40;
+  constexpr int kTicks = 320;
+  const auto id_of = [](int i) { return 3 * i + 1; };
+  struct Pipe {
+    int from = 0;
+    int to = 0;
+    double rate = 0.0;
+    bool present = true;
+    double busy = 0.0;
+    double completed = 0.0;
+    std::uint64_t sent = 0;
+    std::uint64_t lost = 0;
+    std::uint64_t attempts = 0;
+  };
+  std::vector<Pipe> pipes;
+  for (int i = 1; i < kNodes; ++i) {
+    std::vector<int> parents{i - 1, i / 2};
+    if (i % 5 == 0) parents.push_back((i + 3) % kNodes);
+    std::sort(parents.begin(), parents.end());
+    parents.erase(std::unique(parents.begin(), parents.end()), parents.end());
+    for (const int p : parents) {
+      if (p == i) continue;
+      Pipe pipe;
+      pipe.from = p;
+      pipe.to = i;
+      pipe.rate = 0.5 + 0.1 * (p % 3);
+      pipes.push_back(pipe);
+    }
+  }
+  std::vector<double> delivered(kNodes, 0.0);
+  const double chunk = 0.1;
+  const double window = 0.5;
+  const double expected = window * 4.0;
+  std::string out;
+  int demotions = 0;
+  int restores = 0;
+  int reroutes = 0;
+  int replans = 0;
+  int stale_nodes = 0;
+  int stale_edges = 0;
+  for (int tick = 1; tick <= kTicks; ++tick) {
+    const auto capacity = [tick](int i) {
+      if (i >= 5 && i <= 9 && tick >= 40 && tick < 140) return 0.4;
+      if (i == 12 && tick >= 60) return 0.3;
+      if (i == 31 && tick >= 230 && tick < 290) return 0.6;
+      return 1.0;
+    };
+    const auto dark = [tick](int i) {
+      return i >= 25 && i <= 27 && tick >= 200 && tick < 212;
+    };
+    const auto joined = [tick](int i) { return i != 38 || tick >= 30; };
+    const auto sampled = [tick, &joined](int i) {
+      return joined(i) && (i != 33 || tick < 150 || tick >= 180);
+    };
+    if (tick == 120) controller.forgive(id_of(6));
+    if (tick == 214) controller.forgive(id_of(26));
+    if (tick == 250) controller.forgive(id_of(12));
+
+    control::TickInputs inputs;
+    inputs.now = tick * window;
+    inputs.window = window;
+    inputs.expected_delta = expected;
+    inputs.chunk_size = chunk;
+    for (int i = 0; i < kNodes; ++i) {
+      if (!joined(i)) continue;
+      const double pace = i >= 20 && i <= 22 && tick >= 80 && tick < 160
+                              ? 0.7
+                              : 1.0;
+      if (!dark(i) && i != 0) {
+        delivered[static_cast<std::size_t>(i)] +=
+            expected * pace * (1.0 + 0.03 * (rng.uniform() - 0.5));
+      }
+      if (!sampled(i)) continue;
+      control::NodeSample node;
+      node.id = id_of(i);
+      node.nominal = 1.0 + 0.1 * (i % 5);
+      node.granted = node.nominal * controller.factor(node.id);
+      node.delivered = delivered[static_cast<std::size_t>(i)];
+      node.judgeable = i != 0;
+      inputs.nodes.push_back(node);
+    }
+    for (Pipe& pipe : pipes) {
+      if (!joined(pipe.to) || !joined(pipe.from)) continue;
+      if (pipe.present && rng.uniform() < 0.02) {
+        pipe.present = false;
+      } else if (!pipe.present && rng.uniform() < 0.25) {
+        pipe.present = true;
+        if (rng.uniform() < 0.5) pipe = Pipe{pipe.from, pipe.to, pipe.rate};
+      }
+      if (tick % 50 == 0 && rng.uniform() < 0.1) {
+        pipe = Pipe{pipe.from, pipe.to, pipe.rate};  // re-spliced
+      }
+      if (!pipe.present) continue;
+      if (!dark(pipe.from) && !dark(pipe.to)) {
+        const std::uint64_t sends = 8 + rng.below(5);
+        double loss = 0.0;
+        if (pipe.from == 30 && tick >= 100 && tick < 200) loss = 0.3;
+        if (pipe.from == 17 && pipe.to == 18 && tick >= 170 && tick < 260) {
+          loss = 0.25;
+        }
+        const double service =
+            capacity(pipe.from) * (1.0 + 0.02 * (rng.uniform() - 0.5));
+        pipe.busy += static_cast<double>(sends) * chunk / (pipe.rate * service);
+        pipe.completed += static_cast<double>(sends) * chunk;
+        pipe.sent += sends;
+        pipe.lost += static_cast<std::uint64_t>(std::max(
+            0L, std::lround(loss * static_cast<double>(sends) +
+                            rng.uniform() - 0.5)));
+        pipe.attempts += sends + rng.below(3);
+      }
+      control::EdgeSample edge;
+      edge.from = id_of(pipe.from);
+      edge.to = id_of(pipe.to);
+      edge.rate = pipe.rate;
+      edge.busy_time = pipe.busy;
+      edge.completed = pipe.completed;
+      edge.sent = pipe.sent;
+      edge.lost = std::min(pipe.lost, pipe.sent);
+      edge.attempts = pipe.attempts;
+      inputs.edges.push_back(edge);
+    }
+    std::sort(inputs.edges.begin(), inputs.edges.end(),
+              [](const control::EdgeSample& a, const control::EdgeSample& b) {
+                return std::make_pair(a.from, a.to) <
+                       std::make_pair(b.from, b.to);
+              });
+
+    const control::Directive d = controller.tick(inputs);
+    demotions += d.demotions;
+    restores += d.restores;
+    reroutes += d.reroutes;
+    replans += d.force_replan ? 1 : 0;
+    stale_nodes += d.stale_nodes;
+    stale_edges += d.stale_edges;
+    out += std::to_string(tick) + (d.act ? " 1" : " 0") +
+           (d.force_replan ? " 1 " : " 0 ") + std::to_string(d.demotions) +
+           " " + std::to_string(d.restores) + " " +
+           std::to_string(d.reroutes) + " " + std::to_string(d.stragglers) +
+           " " + std::to_string(d.degraded_edges) + " " +
+           std::to_string(d.straggler_trips) + " " +
+           std::to_string(d.edge_trips) + " " +
+           std::to_string(d.stale_nodes) + " " +
+           std::to_string(d.stale_edges) + " ";
+    put(out, d.drift);
+    for (const auto& [id, factor] : d.factors) {
+      out += "f" + std::to_string(id) + "=";
+      put(out, factor);
+    }
+    for (const auto& [from, to, limit] : d.edge_limits) {
+      out += "l" + std::to_string(from) + ">" + std::to_string(to) + "=";
+      put(out, limit);
+    }
+    for (const control::Evidence& ev : d.evidence) {
+      out += std::string("\n  ") + ev.detector + " " + ev.action + " " +
+             std::to_string(ev.node) + " " + std::to_string(ev.from) + " " +
+             std::to_string(ev.to) + " " + std::to_string(ev.trips) + " ";
+      put(out, ev.window_value);
+      put(out, ev.ewma);
+      put(out, ev.threshold);
+      put(out, ev.estimate);
+      put(out, ev.factor_before);
+      put(out, ev.factor_after);
+      put(out, ev.drift);
+    }
+    out += "\n";
+  }
+  for (int i = 0; i < kNodes; ++i) {
+    const control::NodeHealth h = controller.node_health(id_of(i));
+    out += std::to_string(id_of(i)) + (h.known ? " 1 " : " 0 ");
+    put(out, h.factor);
+    put(out, h.egress_ewma);
+    put(out, h.sustained_ewma);
+    out += std::to_string(h.egress_degraded) + std::to_string(h.straggler) +
+           " " + std::to_string(h.egress_trips) + " " +
+           std::to_string(h.straggler_trips) + " " +
+           std::to_string(h.straggler_recoveries) + " " +
+           std::to_string(h.stale_windows) + "\n";
+  }
+  // The run exercises what it claims to.
+  EXPECT_GT(demotions, 0);
+  EXPECT_GT(restores, 0);
+  EXPECT_GT(reroutes, 0);
+  EXPECT_GT(replans, 0);
+  EXPECT_GT(stale_nodes, 0);
+  EXPECT_GT(stale_edges, 0);
+
+  constexpr std::uint64_t kDigest = 0x919c54f0324895b7ULL;
+  char actual[24];
+  std::snprintf(actual, sizeof(actual), "0x%016" PRIx64, fnv1a(out));
+  EXPECT_EQ(fnv1a(out), kDigest) << "digest " << actual << " over "
+                                 << out.size() << " bytes";
+}
+
+/// Two healthy nodes over one pipe, in contract order.
+control::TickInputs well_formed_inputs() {
+  control::TickInputs inputs;
+  inputs.now = 0.5;
+  inputs.window = 0.5;
+  inputs.expected_delta = 1.0;
+  for (const int id : {1, 2}) {
+    control::NodeSample node;
+    node.id = id;
+    node.nominal = 1.0;
+    node.granted = 1.0;
+    inputs.nodes.push_back(node);
+  }
+  control::EdgeSample edge;
+  edge.from = 1;
+  edge.to = 2;
+  edge.rate = 1.0;
+  inputs.edges.push_back(edge);
+  return inputs;
+}
+
+TEST(Controller, RejectsANegativeId) {
+  control::Controller controller;
+  control::TickInputs inputs = well_formed_inputs();
+  inputs.nodes.front().id = -1;
+  EXPECT_THROW(controller.tick(inputs), std::invalid_argument);
+  inputs = well_formed_inputs();
+  inputs.edges.front().from = -3;
+  EXPECT_THROW(controller.tick(inputs), std::invalid_argument);
+  inputs = well_formed_inputs();
+  inputs.edges.front().to = -1;
+  EXPECT_THROW(controller.tick(inputs), std::invalid_argument);
+  // A rejected tick changes nothing: the first good one is tick 1.
+  EXPECT_EQ(controller.ticks(), 0);
+  controller.tick(well_formed_inputs());
+  EXPECT_EQ(controller.ticks(), 1);
+}
+
+TEST(Controller, RejectsNodesNotStrictlyAscending) {
+  control::Controller controller;
+  control::TickInputs inputs = well_formed_inputs();
+  std::swap(inputs.nodes[0], inputs.nodes[1]);
+  EXPECT_THROW(controller.tick(inputs), std::invalid_argument);
+  inputs = well_formed_inputs();
+  inputs.nodes[1].id = inputs.nodes[0].id;  // a duplicate id
+  EXPECT_THROW(controller.tick(inputs), std::invalid_argument);
+  EXPECT_EQ(controller.ticks(), 0);
+  EXPECT_FALSE(controller.node_health(1).known);
+}
+
+TEST(Controller, RejectsEdgesNotStrictlyAscending) {
+  control::Controller controller;
+  control::TickInputs inputs = well_formed_inputs();
+  control::EdgeSample back = inputs.edges.front();
+  back.from = 2;
+  back.to = 1;
+  inputs.edges.insert(inputs.edges.begin(), back);  // (2, 1) before (1, 2)
+  EXPECT_THROW(controller.tick(inputs), std::invalid_argument);
+  inputs = well_formed_inputs();
+  inputs.edges.push_back(inputs.edges.front());  // a duplicate pipe
+  EXPECT_THROW(controller.tick(inputs), std::invalid_argument);
+  EXPECT_EQ(controller.ticks(), 0);
+  inputs.edges.pop_back();
+  inputs.edges.back().to = 5;  // same sender, larger receiver: in order
+  control::EdgeSample next = inputs.edges.back();
+  next.to = 7;
+  inputs.edges.push_back(next);
+  EXPECT_NO_THROW(controller.tick(inputs));
 }
 
 TEST(Controller, RejectsBadConfig) {
@@ -803,6 +1099,37 @@ TEST(ControlRuntime, RequiresExecutionMode) {
   config.control.enabled = true;  // but dataplane.execute left off
   EXPECT_THROW(runtime::Runtime(config, 100.0, {{50.0, false}}),
                std::invalid_argument);
+}
+
+TEST(ControlRuntime, TimesEveryControlBoundaryOnce) {
+  const auto run = [](bool collect_timing, bool control) {
+    runtime::RuntimeConfig config;
+    config.collect_timing = collect_timing;
+    config.dataplane.execute = true;
+    config.dataplane.execution.chunk_size = 2.0;
+    config.control.enabled = control;
+    std::vector<runtime::NodeSpec> peers(6);
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      peers[i].bandwidth = 40.0 + static_cast<double>(i);
+    }
+    runtime::Runtime rt(config, 200.0, peers);
+    runtime::Event open;
+    open.type = runtime::EventType::kChannelOpen;
+    open.channel = 0;
+    open.fraction = 0.5;
+    rt.step(open);
+    runtime::Event marker;
+    marker.type = runtime::EventType::kNodeJoin;  // empty: clock only
+    marker.time = 2.2;
+    rt.step(marker);
+    (void)rt.drain(3.0);
+    const obs::Sketch* sketch = rt.metrics().sketch("timing.control_tick_us");
+    return sketch == nullptr ? -1 : static_cast<int>(sketch->count());
+  };
+  // Boundaries every 0.5 s up to the drain at 3.0: six of them.
+  EXPECT_EQ(run(true, true), 6);
+  EXPECT_EQ(run(false, true), -1);
+  EXPECT_EQ(run(true, false), -1);
 }
 
 TEST(ControlRuntime, DegradeEventsValidateAndApply) {

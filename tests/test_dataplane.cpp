@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bmp/core/acyclic_search.hpp"
@@ -349,6 +353,154 @@ TEST(Execution, SharpUpwardRerateRestartsTheInFlightTransmission) {
   exec.run_to_completion();
   EXPECT_EQ(exec.delivered(a), 5);
   EXPECT_LT(exec.completion_time(a), 2.0);
+}
+
+// ------------------------------------------ reconcile across commits
+
+/// Appends `value` at full precision, so the digest moves whenever any
+/// logged double moves in its last bit.
+void put(std::string& out, double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g ", value);
+  out += buf;
+}
+
+void put(std::string& out, std::uint64_t value) {
+  out += std::to_string(value) + " ";
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// Pins one seeded sequence of reconcile_edges calls between stream
+/// advances: pipes added, removed, kept, re-rated down and sharply up
+/// (past the restart factor), duplicated keys (the last positive rate
+/// wins), rates at or below the removal threshold, and unsorted input,
+/// plus a crash and a departure mid-run. The digest covers every pipe's
+/// counters after each call, every node's delivered count and the final
+/// report, so a change in which pipes are created, in what order (each
+/// creation forks the next loss stream) or at what rate fails here. A
+/// deliberate behaviour change updates kDigest and says why in its commit.
+TEST(Dataplane, ReconcileSequenceDigestIsPinned) {
+  ExecutionConfig config;
+  config.chunk_size = 1.0;
+  config.emission_rate = 6.0;
+  config.latency = 0.02;
+  config.loss_rate = 0.05;
+  config.receiver_window = 4;
+  config.warmup_chunks = 0;
+  config.seed = 97;
+  Execution exec(config);
+  constexpr int kNodes = 14;
+  for (int i = 0; i < kNodes; ++i) {
+    exec.add_node(i == 0 ? 60.0 : 30.0 + 5.0 * (i % 4));
+  }
+  util::Xoshiro256 rng(2024);
+  std::vector<std::tuple<int, int, double>> live;  // last call's survivors
+  std::vector<EdgeStats> stats;
+  std::string out;
+  double t = 0.0;
+  for (int round = 0; round < 60; ++round) {
+    if (round == 20) exec.crash_node(5);
+    if (round == 24) exec.remove_node(5);
+    if (round == 40) exec.remove_node(9);
+    const auto usable = [&exec](int node) { return exec.node_alive(node); };
+    std::vector<std::tuple<int, int, double>> desired;
+    for (const auto& [from, to, rate] : live) {
+      if (!usable(from) || !usable(to)) continue;
+      const double roll = rng.uniform();
+      if (roll < 0.45) {
+        desired.emplace_back(from, to, rate);  // unchanged
+      } else if (roll < 0.6) {
+        desired.emplace_back(from, to, rate * 0.5);  // re-rated down
+      } else if (roll < 0.7) {
+        desired.emplace_back(from, to, rate * 3.0);  // past the restart factor
+      } else if (roll < 0.75) {
+        desired.emplace_back(from, to, 1e-13);  // at the removal threshold
+      }  // else dropped
+    }
+    for (int extra = 0; extra < 8; ++extra) {
+      const int from = static_cast<int>(rng.below(kNodes));
+      const int to = 1 + static_cast<int>(rng.below(kNodes - 1));
+      if (from == to || !usable(from) || !usable(to)) continue;
+      desired.emplace_back(from, to, rng.uniform(0.2, 2.5));
+    }
+    if (!desired.empty()) {
+      // Duplicates: a later positive rate overrides, a later rate at or
+      // below the threshold does not.
+      const auto [from, to, rate] =
+          desired[static_cast<std::size_t>(rng.below(desired.size()))];
+      desired.emplace_back(from, to, rate + 0.25);
+      desired.emplace_back(from, to, 0.0);
+    }
+    for (std::size_t i = desired.size(); i > 1; --i) {
+      std::swap(desired[i - 1],
+                desired[static_cast<std::size_t>(rng.below(i))]);
+    }
+    exec.reconcile_edges(desired);
+    t += 0.35;
+    exec.run_until(t);
+    const std::vector<std::string> violations = exec.validate();
+    ASSERT_TRUE(violations.empty()) << "round " << round << ": "
+                                    << violations.front();
+
+    exec.edge_stats_into(stats);
+    live.clear();
+    out += "round " + std::to_string(round) + "\n";
+    for (const EdgeStats& e : stats) {
+      live.emplace_back(e.from, e.to, e.rate);
+      out += std::to_string(e.from) + ">" + std::to_string(e.to) + " ";
+      put(out, e.rate);
+      put(out, e.busy_time);
+      put(out, e.completed);
+      put(out, e.sent);
+      put(out, e.delivered);
+      put(out, e.lost);
+      out += e.busy ? "1 " : "0 ";
+      put(out, e.pending_duration);
+      put(out, e.attempts);
+      put(out, e.window_stalls);
+      put(out, e.no_chunk);
+      out += "\n";
+    }
+    for (int node = 0; node < exec.num_nodes(); ++node) {
+      out += std::to_string(exec.delivered(node)) + " ";
+    }
+    out += "\n";
+  }
+  const ExecutionReport report = exec.report(6.0);
+  put(out, report.now);
+  out += std::to_string(report.emitted) + " ";
+  put(out, report.delivered_chunks);
+  put(out, report.losses);
+  put(out, report.retransmits);
+  put(out, report.hol_stalls);
+  put(out, report.duplicates);
+  put(out, report.achieved_rate);
+  put(out, report.stretch);
+  for (const NodeProgress& node : report.nodes) {
+    out += std::to_string(node.id) + (node.alive ? " 1 " : " 0 ") +
+           std::to_string(node.delivered) + " " +
+           std::to_string(node.skipped) + " ";
+    put(out, node.joined);
+    put(out, node.completion_time);
+    put(out, node.steady_rate);
+    out += std::to_string(node.max_buffer) + "\n";
+  }
+  EXPECT_GT(report.losses, 0u);
+  EXPECT_GT(report.delivered_chunks, 0u);
+
+  constexpr std::uint64_t kDigest = 0x7ced7a612fa3dd31ULL;
+  char actual[24];
+  std::snprintf(actual, sizeof(actual), "0x%016" PRIx64, fnv1a(out));
+  EXPECT_EQ(fnv1a(out), kDigest) << "digest " << actual << " over "
+                                 << out.size() << " bytes";
 }
 
 // ------------------------------------------- acceptance: plan vs achieved
